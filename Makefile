@@ -59,12 +59,16 @@ report:
 serve-smoke:
 	$(GO) run ./cmd/spmvd -smoke
 
-# Short fuzz pass over the parser/codec targets plus the PRaP
-# sentinel-rejection contract.
+# Short fuzz pass, 10 s per target: the VLDI codec round trip, the
+# Matrix Market parser, the PRaP routing sentinel-rejection contract,
+# the Merge-Path kernel against its loser-tree and heap oracles, and the
+# sparse store-queue drain against the dense walk (both bitwise).
 fuzz:
 	$(GO) test -fuzz=FuzzDeltaRoundTrip -fuzztime=10s ./internal/vldi/
 	$(GO) test -fuzz=FuzzReadMatrixMarket -fuzztime=10s ./internal/matrix/
 	$(GO) test -fuzz=FuzzRouteLists -fuzztime=10s ./internal/prap/
+	$(GO) test -fuzz=FuzzMergeKernels -fuzztime=10s ./internal/merge/
+	$(GO) test -fuzz=FuzzDrainModes -fuzztime=10s ./internal/prap/
 
 clean:
 	rm -rf out test_output.txt bench_output.txt

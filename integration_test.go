@@ -111,6 +111,53 @@ func TestAllImplementationsAgree(t *testing.T) {
 	}
 }
 
+// TestPresortBatchesMatchSimulator pins the pre-sorter batch count the
+// engine derives arithmetically (Σ⌈len(list)/p⌉ over its step-1 lists)
+// to the cycle simulator, which pushes every p-record batch through the
+// bitonic network and charges one cycle per batch. Both run the same
+// stripe width and radix width on the same matrix, so the counts must
+// be equal.
+func TestPresortBatchesMatchSimulator(t *testing.T) {
+	a, err := graph.RMAT(13, 6, graph.Graph500Params(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := randVec(a.Cols, 5)
+	simCfg := sim.DefaultConfig()
+	for _, q := range []uint{0, 2, 4} {
+		simCfg.Merge.Q = q
+		machine, err := sim.New(simCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rep, err := machine.Run(a, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := core.New(core.Config{
+			ScratchpadBytes: simCfg.Scratchpad.Bytes,
+			ValueBytes:      simCfg.Scratchpad.WordBytes,
+			MetaBytes:       8,
+			Lanes:           simCfg.Lanes,
+			Merge:           simCfg.Merge,
+			HBM:             mem.DefaultHBM(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eng.Config().SegmentWidth() != simCfg.SegmentWidth() {
+			t.Fatalf("segment widths differ: engine %d, simulator %d", eng.Config().SegmentWidth(), simCfg.SegmentWidth())
+		}
+		if _, err := eng.SpMV(a, x, nil); err != nil {
+			t.Fatal(err)
+		}
+		got := eng.Stats().MergeStats.PresortBatches
+		if got == 0 || got != rep.PresortCycles {
+			t.Errorf("q=%d: engine PresortBatches = %d, simulator PresortCycles = %d", q, got, rep.PresortCycles)
+		}
+	}
+}
+
 // TestOptimizationVariantsPreserveResults checks that every optimization
 // (VLDI, HDN, ITS, and their combinations) leaves the numerics untouched.
 func TestOptimizationVariantsPreserveResults(t *testing.T) {

@@ -25,13 +25,6 @@ type Options struct {
 	// functional runs (0 = GOMAXPROCS, 1 = sequential). Results are
 	// bit-identical at any setting; only wall-clock time changes.
 	MergeWorkers int
-	// MergeKernel selects the intra-core merge kernel for functional
-	// runs ("" or "losertree" = loser tree, "mergepath" = Merge Path).
-	// Like MergeWorkers, the choice is bit-identical by construction.
-	MergeKernel string
-	// Drain selects the step-2 store-queue drain for functional runs
-	// ("" or "auto", "dense", "sparse"); bit-identical in every mode.
-	Drain string
 	// Recorder, when non-nil, is attached to every functional engine the
 	// experiment builds, collecting the observability run report
 	// (DESIGN.md §8). Analytic-model experiments build no engines and
@@ -87,8 +80,6 @@ func Registry() []Experiment {
 		{ID: "alloc-steady", Title: "Steady state: iterative-SpMV allocations per iteration vs budget", Run: RunAllocSteady},
 		{ID: "host-baseline", Title: "Grounding: measured host-CPU SpMV vs modeled COTS and accelerator", Run: RunHostBaseline},
 		{ID: "block-spmv", Title: "Block SpMV: multi-RHS matrix-stream amortization vs k sequential runs", Run: RunBlockSpMV},
-		{ID: "merge-kernels", Title: "Merge kernels: loser tree vs Merge Path, uniform and skewed, bit-identity enforced", Run: RunMergeKernels},
-		{ID: "drain", Title: "Store-queue drain: dense walk vs sparse fast path across fill ratios, bit-identity enforced", Run: RunDrain},
 		{ID: "functional", Title: "Functional cross-check: Two-Step vs reference on scaled datasets", Run: RunFunctional},
 	}
 }

@@ -1,8 +1,11 @@
 // Package bitonic implements Batcher's bitonic sorting network, the
 // hardware structure the PRaP radix pre-sorter is built from (paper Fig.
 // 10). The network operates on a fixed power-of-two width with a static
-// comparator schedule, so the same code doubles as a functional model and
-// as a hardware cost model (comparator count and pipeline depth).
+// comparator schedule, so the same code doubles as a functional model (the
+// cycle simulator in sim sorts every p-record batch through it) and as a
+// hardware cost model (comparator count and pipeline depth, which
+// perfmodel prices). The host PRaP network (prap) needs no sort: a stable
+// scatter by radix fills the same slots as this pre-sorter plus scatter.
 package bitonic
 
 import (
@@ -63,51 +66,10 @@ func (n *Network) Comparators() int {
 	return c
 }
 
-// SortKeys sorts a slice of uint64 keys in place. len(keys) must equal the
-// network width.
-func (n *Network) SortKeys(keys []uint64) error {
-	if len(keys) != n.Width {
-		return fmt.Errorf("bitonic: got %d lanes, network width %d", len(keys), n.Width)
-	}
-	for _, stage := range n.Stages {
-		for _, c := range stage {
-			if (keys[c.I] > keys[c.J]) == c.Asc {
-				keys[c.I], keys[c.J] = keys[c.J], keys[c.I]
-			}
-		}
-	}
-	return nil
-}
-
 // lane pairs a record with its routing key for in-network movement.
 type lane struct {
 	key uint64
 	rec types.Record
-}
-
-// SortRecordsBy sorts records in place ordered by keyOf(record).
-// len(recs) must equal the network width. The comparison uses only the
-// derived key, mirroring hardware that compares a q-bit radix rather than
-// the full record key.
-func (n *Network) SortRecordsBy(recs []types.Record, keyOf func(types.Record) uint64) error {
-	if len(recs) != n.Width {
-		return fmt.Errorf("bitonic: got %d lanes, network width %d", len(recs), n.Width)
-	}
-	lanes := make([]lane, len(recs))
-	for i, r := range recs {
-		lanes[i] = lane{key: keyOf(r), rec: r}
-	}
-	for _, stage := range n.Stages {
-		for _, c := range stage {
-			if (lanes[c.I].key > lanes[c.J].key) == c.Asc {
-				lanes[c.I], lanes[c.J] = lanes[c.J], lanes[c.I]
-			}
-		}
-	}
-	for i := range recs {
-		recs[i] = lanes[i].rec
-	}
-	return nil
 }
 
 // PreSorter is the PRaP radix pre-sorter: a bitonic network that orders a
@@ -161,30 +123,10 @@ func (p *PreSorter) ComparatorBits() int {
 // length must equal the pre-sorter width (the DRAM interface delivers
 // exactly p records per cycle).
 func (p *PreSorter) Sort(batch []types.Record) error {
-	var buf SortBuf
-	return p.SortWith(&buf, batch)
-}
-
-// SortBuf is a per-goroutine scratch for SortWith: the lane array is
-// recycled across batches, so a routing loop that reuses one buffer per
-// worker pre-sorts its whole stream without allocating. The zero value
-// is ready to use.
-type SortBuf struct {
-	lanes []lane
-}
-
-// SortWith is Sort using the caller's scratch buffer. The comparator
-// schedule, the stability key (radix·width + lane index), and the
-// resulting order are identical to Sort.
-func (p *PreSorter) SortWith(buf *SortBuf, batch []types.Record) error {
 	if len(batch) != p.net.Width {
 		return fmt.Errorf("bitonic: got %d lanes, network width %d", len(batch), p.net.Width)
 	}
-	if cap(buf.lanes) < len(batch) {
-		//lint:allow allocfree grow-once lane arena; the worker's SortBuf keeps capacity across batches
-		buf.lanes = make([]lane, len(batch))
-	}
-	lanes := buf.lanes[:len(batch)]
+	lanes := make([]lane, len(batch))
 	w := uint64(p.net.Width)
 	for i, r := range batch {
 		lanes[i] = lane{key: r.Radix(p.Q)*w + uint64(i), rec: r}

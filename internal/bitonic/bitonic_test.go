@@ -1,6 +1,7 @@
 package bitonic
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -222,4 +223,50 @@ func TestZeroOnePrinciple(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The two sorts below are the network-correctness oracle: they run the
+// comparator schedule over arbitrary keys, so the tests can check that
+// NewNetwork builds a sorting network at all (the zero-one principle,
+// exhaustive and random inputs) before PreSorter relies on it.
+
+// SortKeys sorts a slice of uint64 keys in place. len(keys) must equal the
+// network width.
+func (n *Network) SortKeys(keys []uint64) error {
+	if len(keys) != n.Width {
+		return fmt.Errorf("bitonic: got %d lanes, network width %d", len(keys), n.Width)
+	}
+	for _, stage := range n.Stages {
+		for _, c := range stage {
+			if (keys[c.I] > keys[c.J]) == c.Asc {
+				keys[c.I], keys[c.J] = keys[c.J], keys[c.I]
+			}
+		}
+	}
+	return nil
+}
+
+// SortRecordsBy sorts records in place ordered by keyOf(record).
+// len(recs) must equal the network width. The comparison uses only the
+// derived key, mirroring hardware that compares a q-bit radix rather than
+// the full record key.
+func (n *Network) SortRecordsBy(recs []types.Record, keyOf func(types.Record) uint64) error {
+	if len(recs) != n.Width {
+		return fmt.Errorf("bitonic: got %d lanes, network width %d", len(recs), n.Width)
+	}
+	lanes := make([]lane, len(recs))
+	for i, r := range recs {
+		lanes[i] = lane{key: keyOf(r), rec: r}
+	}
+	for _, stage := range n.Stages {
+		for _, c := range stage {
+			if (lanes[c.I].key > lanes[c.J].key) == c.Asc {
+				lanes[c.I], lanes[c.J] = lanes[c.J], lanes[c.I]
+			}
+		}
+	}
+	for i := range recs {
+		recs[i] = lanes[i].rec
+	}
+	return nil
 }

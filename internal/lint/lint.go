@@ -168,11 +168,11 @@ func DefaultConfig() Config {
 			"mwmerge/internal/prap": {
 				"Network.acquire",
 				"mergeScratch.slotsFor", "mergeScratch.outcomesFor",
-				"mergeScratch.batchesFor", "mergeScratch.sortBufsFor",
+				"reserveSlots",
 				"mergeScratch.coresFor", "mergeScratch.countersFor",
 				"mergeScratch.planFor",
 			},
-			"mwmerge/internal/merge":  {"Workspace.MergeAccumulateInto", "MergePathWorkspace.sized"},
+			"mwmerge/internal/merge":  {"MergePathWorkspace.sized"},
 			"mwmerge/internal/vector": {"Dense.Clone", "NewDense"},
 		},
 		AllocFreeExemptPackages: []string{

@@ -11,13 +11,12 @@ import (
 // which is the Merge Path blocking argument (Green, Odeh & Birk).
 const mergePathChunkRecords = 1024
 
-// MergePathWorkspace is the Merge-Path counterpart of Workspace: it
-// merge-accumulates K sorted lists by pairwise 2-way merges whose output
-// is cut into equal-size, cache-sized sub-merges by diagonal search and
-// executed as branch-free leaf kernels (DESIGN.md §12). The visit order
-// is identical to the loser tree's — every record sequence is ordered by
-// (key, source index, position) — so float accumulation is bit-identical
-// to Workspace.MergeAccumulateInto; only the wall clock differs.
+// MergePathWorkspace is the K-way merge-accumulate kernel: it reduces K
+// sorted lists by pairwise 2-way merges whose output is cut into
+// equal-size, cache-sized sub-merges by diagonal search and executed as
+// branch-free leaf kernels (DESIGN.md §12). Records are visited in
+// (key, source index, position) order — the order of a tournament loser
+// tree, which the tests keep as the bitwise oracle (FuzzMergeKernels).
 //
 // A single goroutine owns a MergePathWorkspace; the ping-pong arenas and
 // run tables are recycled across calls, so steady-state reuse is
@@ -28,10 +27,9 @@ type MergePathWorkspace struct {
 }
 
 // MergeAccumulateInto merges sorted record lists and sums duplicate
-// keys, exactly like Workspace.MergeAccumulateInto (bit-identical
-// output), but through the Merge-Path pairwise kernel instead of the
-// loser tree. dst is truncated and reused when its capacity suffices;
-// it must not alias any list.
+// keys into dst, returning a strictly ascending record slice. Equal keys
+// are summed left to right in source-index order. dst is truncated and
+// reused when its capacity suffices; it must not alias any list.
 func (ws *MergePathWorkspace) MergeAccumulateInto(dst []types.Record, lists [][]types.Record) []types.Record {
 	dst, cur, spare := ws.sized(dst, lists)
 	if len(cur) == 0 {
@@ -195,8 +193,8 @@ func mergeLeaf(out, a, b []types.Record, i, i1, j, j1 int) {
 
 // accumulateInto collapses equal-key neighbours of run into dst, whose
 // capacity must be at least len(run), summing values left to right —
-// the same order Accumulator applies over the loser tree's stream, so
-// the floats are bit-identical. run must not alias dst.
+// the order a streaming accumulator over a loser tree applies, so the
+// floats are bit-identical to that oracle. run must not alias dst.
 func accumulateInto(dst, run []types.Record) []types.Record {
 	out := dst[:len(run)]
 	n := 0
@@ -211,10 +209,19 @@ func accumulateInto(dst, run []types.Record) []types.Record {
 	return out[:n]
 }
 
-// MergePathAccumulate merges sorted record lists and sums duplicate
-// keys through the Merge-Path kernel — the one-shot convenience over a
-// throwaway workspace, bit-identical to MergeAccumulate.
-func MergePathAccumulate(lists [][]types.Record) []types.Record {
+// MergeAccumulate merges sorted record lists and sums duplicate keys,
+// returning a strictly ascending record slice — the one-shot
+// convenience over a throwaway MergePathWorkspace.
+func MergeAccumulate(lists [][]types.Record) []types.Record {
 	var ws MergePathWorkspace
 	return ws.MergeAccumulateInto(nil, lists)
+}
+
+// grown returns s resized to n elements, reusing the backing array when
+// capacity allows. Contents are unspecified; callers must overwrite.
+func grown[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }

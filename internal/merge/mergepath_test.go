@@ -39,7 +39,7 @@ func TestMergePathMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
 		lists := randomSortedLists(rng, 1+rng.Intn(16), 60, 50)
-		got := MergePathAccumulate(lists)
+		got := MergeAccumulate(lists)
 		want := oracleAccumulate(lists)
 		if !recordsEqual(got, want, 1e-9) {
 			t.Fatalf("trial %d: mismatch (got %d, want %d records)", trial, len(got), len(want))
@@ -57,7 +57,7 @@ func TestMergePathBitIdenticalToLoserTree(t *testing.T) {
 		lists := randomSortedLists(rng, 1+rng.Intn(20), 80, keySpace)
 		var lt Workspace
 		want := lt.MergeAccumulateInto(nil, lists)
-		got := MergePathAccumulate(lists)
+		got := MergeAccumulate(lists)
 		if !bitsEqual(got, want) {
 			t.Fatalf("trial %d (keySpace %d): merge-path diverges from loser tree", trial, keySpace)
 		}
@@ -65,15 +65,15 @@ func TestMergePathBitIdenticalToLoserTree(t *testing.T) {
 }
 
 func TestMergePathEdgeCases(t *testing.T) {
-	if out := MergePathAccumulate(nil); len(out) != 0 {
+	if out := MergeAccumulate(nil); len(out) != 0 {
 		t.Error("nil lists produced records")
 	}
-	if out := MergePathAccumulate([][]types.Record{{}, nil, {}}); len(out) != 0 {
+	if out := MergeAccumulate([][]types.Record{{}, nil, {}}); len(out) != 0 {
 		t.Error("all-empty lists produced records")
 	}
 	// Single list passes through accumulated.
 	one := [][]types.Record{{{Key: 1, Val: 1}, {Key: 1, Val: 2}, {Key: 9, Val: 3}}}
-	out := MergePathAccumulate(one)
+	out := MergeAccumulate(one)
 	if !recordsEqual(out, []types.Record{{Key: 1, Val: 3}, {Key: 9, Val: 3}}, 0) {
 		t.Errorf("single list: %v", out)
 	}
@@ -82,7 +82,7 @@ func TestMergePathEdgeCases(t *testing.T) {
 		{}, {{Key: 5, Val: 1}}, nil, {{Key: 5, Val: 2}}, {}, {{Key: 2, Val: 4}},
 	}
 	var lt Workspace
-	if !bitsEqual(MergePathAccumulate(lists), lt.MergeAccumulateInto(nil, lists)) {
+	if !bitsEqual(MergeAccumulate(lists), lt.MergeAccumulateInto(nil, lists)) {
 		t.Error("interleaved empties diverge from loser tree")
 	}
 }
@@ -96,7 +96,7 @@ func TestMergePathStability(t *testing.T) {
 	lists := [][]types.Record{a, b, c}
 	var lt Workspace
 	want := lt.MergeAccumulateInto(nil, lists)
-	got := MergePathAccumulate(lists)
+	got := MergeAccumulate(lists)
 	if !bitsEqual(got, want) {
 		t.Fatalf("tie accumulation order differs: got %v, want %v", got, want)
 	}
@@ -127,7 +127,7 @@ func TestMergePathChunkBoundaries(t *testing.T) {
 		}
 		var lt Workspace
 		want := lt.MergeAccumulateInto(nil, lists)
-		got := MergePathAccumulate(lists)
+		got := MergeAccumulate(lists)
 		if !bitsEqual(got, want) {
 			t.Fatalf("size set %d (%v): diverges from loser tree", si, sz)
 		}
@@ -140,7 +140,7 @@ func TestMergePathWorkspaceReuseBitIdentical(t *testing.T) {
 	var dst []types.Record
 	for trial := 0; trial < 40; trial++ {
 		lists := randomSortedLists(rng, 1+rng.Intn(12), 70, 40)
-		fresh := MergePathAccumulate(lists)
+		fresh := MergeAccumulate(lists)
 		dst = ws.MergeAccumulateInto(dst, lists)
 		if !bitsEqual(dst, fresh) {
 			t.Fatalf("trial %d: reused workspace diverges from fresh run", trial)
@@ -158,7 +158,7 @@ func TestMergePathReuseHammer(t *testing.T) {
 	refs := make([][]types.Record, len(inputs))
 	for i := range inputs {
 		inputs[i] = randomSortedLists(rng, 1+rng.Intn(16), 120, 60)
-		refs[i] = MergePathAccumulate(inputs[i])
+		refs[i] = MergeAccumulate(inputs[i])
 	}
 	const goroutines = 8
 	const rounds = 50
@@ -201,7 +201,7 @@ func FuzzMergeKernels(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nlists % 24)
 		lists := randomSortedLists(rng, n, int(maxLen), uint64(keySpace)+1)
-		got := MergePathAccumulate(lists)
+		got := MergeAccumulate(lists)
 		var lt Workspace
 		tree := lt.MergeAccumulateInto(nil, lists)
 		heap := heapAccumulate(lists)

@@ -13,15 +13,15 @@ import (
 // FuzzDrainModes cross-checks the sparse drain against the dense walk
 // bit-for-bit, with segment publishing enabled, over fuzzed list shapes,
 // dimensions, worker counts, and y inputs — including y inputs seeded
-// with -0.0, which must force both modes onto the dense walk and still
+// with -0.0, which must force both drains onto the dense walk and still
 // agree. Values are compared by Float64bits: any reassociation, skipped
 // zero-add, or publish-ordering bug shows up as a bit flip.
 func FuzzDrainModes(f *testing.F) {
 	f.Add(int64(1), uint16(257), uint8(3), uint8(20), uint8(0), false)
-	f.Add(int64(2), uint16(64), uint8(1), uint8(0), uint8(1), false)   // empty lists, yIn
-	f.Add(int64(3), uint16(1000), uint8(6), uint8(5), uint8(2), true)  // -0.0 in yIn, parallel
-	f.Add(int64(4), uint16(31), uint8(4), uint8(80), uint8(4), false)  // dense output
-	f.Add(int64(5), uint16(512), uint8(2), uint8(1), uint8(0), true)   // hypersparse, dirty yIn
+	f.Add(int64(2), uint16(64), uint8(1), uint8(0), uint8(1), false)  // empty lists, yIn
+	f.Add(int64(3), uint16(1000), uint8(6), uint8(5), uint8(2), true) // -0.0 in yIn, parallel
+	f.Add(int64(4), uint16(31), uint8(4), uint8(80), uint8(4), false) // dense output
+	f.Add(int64(5), uint16(512), uint8(2), uint8(1), uint8(0), true)  // hypersparse, dirty yIn
 	f.Fuzz(func(t *testing.T, seed int64, dimRaw uint16, nLists, densityPct, workers uint8, negZero bool) {
 		dim := uint64(dimRaw)%2048 + 1
 		rng := rand.New(rand.NewSource(seed))
@@ -38,14 +38,14 @@ func FuzzDrainModes(f *testing.F) {
 		}
 		segWidth := dim/7 + 1
 
-		run := func(mode DrainMode) (vector.Dense, Stats, []int) {
+		run := func(force int) (vector.Dense, Stats, []int) {
 			cfg := smallConfig(2, 16)
-			cfg.Drain = mode
 			cfg.MergeWorkers = int(workers % 5)
 			n, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			n.drainForce = force
 			out := vector.NewDense(int(dim))
 			var mu sync.Mutex
 			var pubs []int
@@ -55,13 +55,13 @@ func FuzzDrainModes(f *testing.F) {
 				mu.Unlock()
 			})
 			if err != nil {
-				t.Fatalf("MergeInto(drain=%s): %v", mode, err)
+				t.Fatalf("MergeInto(drain=%s): %v", drainName(force), err)
 			}
 			return out, st, pubs
 		}
 
-		want, wantStats, wantPubs := run(DrainDense)
-		got, st, pubs := run(DrainSparse)
+		want, wantStats, wantPubs := run(drainDense)
+		got, st, pubs := run(drainSparse)
 		for i := range want {
 			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
 				t.Fatalf("out[%d]: dense %x, sparse %x (dim=%d negZero=%v)",
@@ -83,7 +83,7 @@ func FuzzDrainModes(f *testing.F) {
 			}
 		}
 		// The -0.0 must flip to +0.0 wherever no record landed on it —
-		// the dense-walk semantics both modes must share.
+		// the dense-walk semantics both drains must share.
 		if negZero {
 			covered := map[uint64]bool{}
 			for _, l := range lists {

@@ -1,81 +1,81 @@
 package prap
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
+
+	"mwmerge/internal/types"
+	"mwmerge/internal/vector"
 )
 
-func TestConfigValidateKernel(t *testing.T) {
-	cfg := smallConfig(2, 8)
-	for _, k := range []MergeKernel{"", KernelLoserTree, KernelMergePath} {
-		cfg.Kernel = k
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("kernel %q rejected: %v", k, err)
+// orderedOracle is the bitwise reference for one merge: each key's
+// records are summed left to right in (list index, position) order — the
+// merge kernel's visit order — and the sum is then added once onto yIn
+// (or +0.0), as the store queue does.
+func orderedOracle(lists [][]types.Record, dim uint64, yIn vector.Dense) vector.Dense {
+	sums := make([]float64, dim)
+	seen := make([]bool, dim)
+	for _, l := range lists {
+		for _, r := range l {
+			if seen[r.Key] {
+				sums[r.Key] += r.Val
+			} else {
+				sums[r.Key], seen[r.Key] = r.Val, true
+			}
 		}
 	}
-	cfg.Kernel = "quicksort"
-	if err := cfg.Validate(); err == nil {
-		t.Error("unknown kernel accepted")
+	out := vector.NewDense(int(dim))
+	copy(out, yIn)
+	for k := range out {
+		out[k] += sums[k]
 	}
+	return out
 }
 
-// TestMergeKernelBitIdentity is the tentpole acceptance check at the
-// network level: the merge-path kernel must produce the same dense
-// vector and the same stats as the loser tree, bitwise, at every
-// Q × MergeWorkers combination — the kernels visit records in the same
-// (key, source index) order, so float accumulation cannot differ.
+// TestMergeKernelBitIdentity pins the merge kernel's accumulation order
+// at the network level: at every Q × MergeWorkers combination, with and
+// without a y input, the dense output must equal orderedOracle bitwise.
+// Any change of the kernel's (key, source index) visit order would
+// reassociate a float sum and flip bits here.
 func TestMergeKernelBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, q := range []uint{0, 2, 4} {
 		dim := uint64(1237) // not a multiple of p
 		lists := randomLists(rng, 13, dim, 0.2)
-		base := smallConfig(q, 32)
-		base.MergeWorkers = 1
-		nb, err := New(base)
-		if err != nil {
-			t.Fatal(err)
+		yIn := vector.NewDense(int(dim))
+		for i := range yIn {
+			yIn[i] = rng.NormFloat64()
 		}
-		want, wantSt, err := nb.Merge(lists, dim, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{0, 1, 2, 3, 8} {
-			cfg := smallConfig(q, 32)
-			cfg.MergeWorkers = workers
-			cfg.Kernel = KernelMergePath
-			np, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, gotSt, err := np.Merge(lists, dim, nil)
-			if err != nil {
-				t.Fatalf("q=%d workers=%d: %v", q, workers, err)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("q=%d workers=%d: y[%d] = %v, want %v (kernel not bit-identical)",
-						q, workers, i, got[i], want[i])
+		for _, base := range []vector.Dense{nil, yIn} {
+			want := orderedOracle(lists, dim, base)
+			for _, workers := range []int{0, 1, 2, 3, 8} {
+				cfg := smallConfig(q, 32)
+				cfg.MergeWorkers = workers
+				n, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if gotSt.Injected != wantSt.Injected || gotSt.Emitted != wantSt.Emitted ||
-				gotSt.PresortBatches != wantSt.PresortBatches {
-				t.Errorf("q=%d workers=%d: stats differ: %+v vs %+v", q, workers, gotSt, wantSt)
-			}
-			for r := range wantSt.PerCoreInput {
-				if gotSt.PerCoreInput[r] != wantSt.PerCoreInput[r] ||
-					gotSt.PerCoreOutput[r] != wantSt.PerCoreOutput[r] {
-					t.Errorf("q=%d workers=%d: core %d stats differ", q, workers, r)
+				got, _, err := n.Merge(lists, dim, base)
+				if err != nil {
+					t.Fatalf("q=%d workers=%d: %v", q, workers, err)
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("q=%d workers=%d yIn=%v: y[%d] = %v, want %v (accumulation order changed)",
+							q, workers, base != nil, i, got[i], want[i])
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestMergeKernelConcurrentHammer runs concurrent merge-path merges
-// against the same network, so the contended-arena fallback and the
-// per-core workspace reuse both get exercised under -race; every result
-// must stay bit-identical to the loser-tree reference.
+// TestMergeKernelConcurrentHammer runs concurrent merges against the
+// same network, so the contended-arena fallback and the per-core
+// workspace reuse both get exercised under -race; every result must
+// stay bit-identical to a sequential network's.
 func TestMergeKernelConcurrentHammer(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	dim := uint64(511)
@@ -87,9 +87,7 @@ func TestMergeKernelConcurrentHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := smallConfig(3, 16)
-	cfg.Kernel = KernelMergePath
-	np, _ := New(cfg)
+	np, _ := New(smallConfig(3, 16))
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
 	for g := 0; g < 8; g++ {
@@ -104,7 +102,7 @@ func TestMergeKernelConcurrentHammer(t *testing.T) {
 				}
 				for i := range want {
 					if got[i] != want[i] {
-						errs <- "concurrent merge-path result diverged"
+						errs <- "concurrent merge result diverged"
 						return
 					}
 				}

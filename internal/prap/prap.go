@@ -2,7 +2,9 @@
 // Parallelization by Radix Pre-sorter (§4.2). Records streamed from DRAM
 // pass through a stable bitonic pre-sorter on the q LSBs of their keys and
 // land in per-radix slots of a shared prefetch buffer; p = 2^q independent
-// Merge Cores each merge only the records of their residue class. Because
+// Merge Cores each merge only the records of their residue class. In
+// software the pre-sort and the scatter that follows collapse into one
+// stable counting scatter, which fills the same slots. Because
 // the final output is a *dense* vector, missing-key injection makes every
 // MC emit exactly one record per key of its class, which hides load
 // imbalance and lets a simple store queue interleave the p outputs into
@@ -21,7 +23,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mwmerge/internal/bitonic"
 	"mwmerge/internal/mem"
 	"mwmerge/internal/merge"
 	"mwmerge/internal/types"
@@ -29,46 +30,10 @@ import (
 )
 
 // invalidKey marks pre-sorter padding lanes on the final, partially filled
-// batch of a list (hardware carries a valid bit per lane).
+// batch of a list (hardware carries a valid bit per lane). Routing
+// rejects genuine records carrying it, so the software network keeps the
+// hardware's input contract.
 const invalidKey = ^uint64(0)
-
-// MergeKernel selects the intra-core K-way merge-accumulate
-// implementation. Both kernels visit records in the identical
-// (key, source index, position) order, so the choice can never change a
-// result — only the wall clock (DESIGN.md §12).
-type MergeKernel string
-
-const (
-	// KernelLoserTree is the default tournament-tree kernel
-	// (merge.Workspace): one comparison path replayed per record.
-	KernelLoserTree MergeKernel = "losertree"
-	// KernelMergePath is the Merge-Path kernel
-	// (merge.MergePathWorkspace): diagonal-search partitioning into
-	// cache-sized, branch-free pairwise leaf merges.
-	KernelMergePath MergeKernel = "mergepath"
-)
-
-// DrainMode selects how the store queue drains each merge core's
-// residue class into the dense output (DESIGN.md §13). The dense walk
-// visits every key of the class and executes the injected zero-add for
-// missing keys; the sparse drain visits only the merged records. The
-// sparse drain is applied only when it is bit-safe (yIn is nil, or a
-// one-pass scan proves every yIn element is unchanged by adding +0.0 —
-// a -0.0 element would flip to +0.0 under the dense walk), so the mode
-// can never change a result, a ledger, or a statistic.
-type DrainMode string
-
-const (
-	// DrainAuto picks the sparse drain when it is bit-safe and the
-	// routed record count makes it profitable, the dense walk otherwise.
-	DrainAuto DrainMode = "auto"
-	// DrainDense always walks the full residue class (the hardware
-	// store-queue model of §4.2.2).
-	DrainDense DrainMode = "dense"
-	// DrainSparse requests the record-proportional drain; a yIn that is
-	// not bit-safe to skip still falls back to the dense walk.
-	DrainSparse DrainMode = "sparse"
-)
 
 // Config parameterizes a PRaP merge network.
 type Config struct {
@@ -90,13 +55,6 @@ type Config struct {
 	// output key is owned by exactly one core, so the result is
 	// bit-identical at any setting — no float reassociation occurs.
 	MergeWorkers int
-	// Kernel selects the intra-core merge-accumulate implementation.
-	// Empty defaults to KernelLoserTree; results are bit-identical
-	// either way.
-	Kernel MergeKernel
-	// Drain selects the store-queue drain strategy. Empty defaults to
-	// DrainAuto; results are bit-identical at any setting.
-	Drain DrainMode
 }
 
 // DefaultConfig returns the ASIC step-2 network: 16 MCs (q=4) of 2048
@@ -122,34 +80,7 @@ func (c Config) Validate() error {
 	if c.MergeWorkers < 0 {
 		return fmt.Errorf("prap: merge workers must be non-negative")
 	}
-	switch c.Kernel {
-	case "", KernelLoserTree, KernelMergePath:
-	default:
-		return fmt.Errorf("prap: unknown merge kernel %q", c.Kernel)
-	}
-	switch c.Drain {
-	case "", DrainAuto, DrainDense, DrainSparse:
-	default:
-		return fmt.Errorf("prap: unknown drain mode %q", c.Drain)
-	}
 	return nil
-}
-
-// kernel resolves the configured merge kernel, defaulting to the loser
-// tree.
-func (c Config) kernel() MergeKernel {
-	if c.Kernel == "" {
-		return KernelLoserTree
-	}
-	return c.Kernel
-}
-
-// drain resolves the configured drain mode, defaulting to auto.
-func (c Config) drain() DrainMode {
-	if c.Drain == "" {
-		return DrainAuto
-	}
-	return c.Drain
 }
 
 // Cores returns p = 2^Q.
@@ -215,7 +146,7 @@ type Stats struct {
 	PerCoreOutput  []uint64 // records emitted by each MC incl. injections
 	Injected       uint64   // missing keys injected across all MCs
 	Emitted        uint64   // dense elements streamed out by the store queue
-	PresortBatches uint64   // batches pushed through the bitonic network
+	PresortBatches uint64   // p-record batches the hardware pre-sorter takes: Σ⌈len(list)/p⌉
 }
 
 // Clone returns a deep copy of s, per-core slices included, so callers
@@ -264,9 +195,13 @@ type SpanObserver interface {
 // Network is a PRaP step-2 merge network instance.
 type Network struct {
 	cfg     Config
-	sorter  *bitonic.PreSorter
 	obs     SpanObserver
 	scratch mergeScratch
+	// drainForce overrides the drain selection rule of sparseDrainOK:
+	// 0 applies the rule, >0 forces the sparse drain (still only when
+	// bit-safe), <0 forces the dense walk. Only tests set it, to
+	// cross-check the two drains bit-for-bit.
+	drainForce int
 }
 
 // SetObserver attaches a span observer to the network's parallel phases
@@ -296,11 +231,7 @@ func New(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ps, err := bitonic.NewPreSorter(cfg.Cores(), cfg.Q)
-	if err != nil {
-		return nil, err
-	}
-	return &Network{cfg: cfg, sorter: ps}, nil
+	return &Network{cfg: cfg}, nil
 }
 
 // routeOutcome carries one list's routing deltas so parallel routing
@@ -308,74 +239,71 @@ func New(cfg Config) (*Network, error) {
 // order.
 type routeOutcome struct {
 	perCore []uint64
-	batches uint64
 	err     error
 }
 
-// routeList streams one input list through the radix pre-sorter in
-// batches of p records and scatters the outputs into its per-(radix,
-// list) slots. Each list owns column li of every slots[r], so concurrent
-// routeList calls over distinct lists never share a slice element. batch
-// and sb are the calling worker's p-record presort scratch and bitonic
-// lane buffer, out the list's pre-zeroed outcome — all arena-owned, so
-// routing allocates only when a slot outgrows its recycled capacity. A
-// genuine record carrying the padding sentinel key is rejected rather
-// than silently dropped.
-func (n *Network) routeList(li int, list []types.Record, slots [][][]types.Record, batch []types.Record, sb *bitonic.SortBuf, out *routeOutcome) {
-	p := n.cfg.Cores()
-	for off := 0; off < len(list); off += p {
-		m := copy(batch, list[off:])
-		for i := 0; i < m; i++ {
-			if batch[i].Key == invalidKey {
-				out.err = fmt.Errorf("prap: list %d record %d carries the reserved padding key %#x", li, off+i, invalidKey)
-				return
-			}
+// routeList deals one input list into its per-(radix, list) slots as a
+// two-pass counting scatter. Pass 1 rejects a genuine record carrying
+// the padding sentinel and counts the records of each radix into
+// out.perCore; reserveSlots then sizes the list's slot in every radix;
+// pass 2 writes the records in input order. A stable scatter leaves each
+// slot in input order, exactly as the hardware's stable pre-sort by
+// radix followed by the per-radix scatter does (DESIGN.md §12), so every
+// slot stays key-sorted. Each list owns column li of every slots[r], so
+// concurrent routeList calls over distinct lists never share a slice
+// element.
+func (n *Network) routeList(li int, list []types.Record, slots [][][]types.Record, out *routeOutcome) {
+	q := n.cfg.Q
+	for i, rec := range list {
+		if rec.Key == invalidKey {
+			out.err = fmt.Errorf("prap: list %d record %d carries the reserved padding key %#x", li, i, invalidKey)
+			return
 		}
-		for i := m; i < p; i++ {
-			batch[i] = types.Record{Key: invalidKey}
-		}
-		if p > 1 {
-			if err := n.sorter.SortWith(sb, batch); err != nil {
-				out.err = err
-				return
-			}
-		}
-		out.batches++
-		for _, rec := range batch {
-			if rec.Key == invalidKey {
-				continue
-			}
-			r := int(rec.Radix(n.cfg.Q))
-			//lint:allow allocfree amortized growth of the recycled slot arena; capacity survives across runs
-			slots[r][li] = append(slots[r][li], rec)
-			out.perCore[r]++
+		out.perCore[rec.Radix(q)]++
+	}
+	reserveSlots(slots, li, out.perCore)
+	for _, rec := range list {
+		r := rec.Radix(q)
+		s := slots[r][li]
+		s = s[:len(s)+1] // within the reserved capacity
+		s[len(s)-1] = rec
+		slots[r][li] = s
+	}
+}
+
+// reserveSlots is routeList's arena-growth step: it empties list li's
+// slot in every radix r, growing it to exactly counts[r] records when
+// its recycled capacity is smaller, so the scatter that follows never
+// reallocates.
+func reserveSlots(slots [][][]types.Record, li int, counts []uint64) {
+	for r, c := range counts {
+		if uint64(cap(slots[r][li])) < c {
+			slots[r][li] = make([]types.Record, 0, c)
+		} else {
+			slots[r][li] = slots[r][li][:0]
 		}
 	}
 }
 
-// routeLists streams every input list through the radix pre-sorter in
-// batches of p records and scatters the outputs into per-(list, radix)
-// slots, exactly as the prefetch buffer of Fig. 10 is organized. The
-// stability of the pre-sorter guarantees each slot remains key-sorted.
-// Lists are sharded across MergeWorkers goroutines; per-list stats merge
-// deterministically in list order afterwards. Slots, batches, and
-// outcomes all live in the run's arena.
+// routeLists routes every input list into per-(list, radix) slots,
+// exactly as the prefetch buffer of Fig. 10 is organized. Lists are
+// sharded across MergeWorkers goroutines; per-list stats merge
+// deterministically in list order afterwards. PresortBatches counts the
+// p-record batches the hardware pre-sorter would take. Slots and
+// outcomes live in the run's arena.
 func (n *Network) routeLists(lists [][]types.Record, st *Stats, scr *mergeScratch) ([][][]types.Record, error) {
 	p := n.cfg.Cores()
-	w := n.cfg.workers(len(lists))
 	slots := scr.slotsFor(p, len(lists)) // slots[radix][list]
 	outcomes := scr.outcomesFor(len(lists), p)
-	batches := scr.batchesFor(w, p)
-	sortBufs := scr.sortBufsFor(w)
 	//lint:allow allocfree per-merge routing closure, counted in the DESIGN.md §9 alloc budget
-	forEach(w, len(lists), n.instrumented("presort", "l", func(worker, li int) {
-		n.routeList(li, lists[li], slots, batches[worker], &sortBufs[worker], &outcomes[li])
+	forEach(n.cfg.workers(len(lists)), len(lists), n.instrumented("presort", "l", func(_, li int) {
+		n.routeList(li, lists[li], slots, &outcomes[li])
 	}))
-	for _, out := range outcomes {
+	for li, out := range outcomes {
 		if out.err != nil {
 			return nil, out.err
 		}
-		st.PresortBatches += out.batches
+		st.PresortBatches += (uint64(len(lists[li])) + uint64(p) - 1) / uint64(p)
 		for r, c := range out.perCore {
 			st.PerCoreInput[r] += c
 		}
@@ -490,19 +418,10 @@ func (n *Network) mergeInto(lists [][]types.Record, dim uint64, yIn, out vector.
 	}
 	injected, emitted := scr.countersFor(p)
 	cores := scr.coresFor(p)
-	kernel := n.cfg.kernel()
 	//lint:allow allocfree per-merge core-drain closure, counted in the DESIGN.md §9 alloc budget
 	forEach(n.cfg.workers(p), p, n.instrumented("merge", "mc", func(_, r int) {
 		cs := &cores[r]
-		// Kernel dispatch cannot perturb results: both kernels emit the
-		// same (key, source index) sequence, so float accumulation order
-		// is identical (proven bitwise in TestMergeKernelBitIdentity and
-		// FuzzMergeKernels).
-		if kernel == KernelMergePath {
-			cs.merged = cs.mp.MergeAccumulateInto(cs.merged, slots[r])
-		} else {
-			cs.merged = cs.ws.MergeAccumulateInto(cs.merged, slots[r])
-		}
+		cs.merged = cs.ws.MergeAccumulateInto(cs.merged, slots[r])
 		// nKeys is the size of core r's residue class below dim — the
 		// dense walk's trip count, and both drains' Emitted charge.
 		nKeys := uint64(0)
@@ -566,23 +485,19 @@ func (n *Network) mergeInto(lists [][]types.Record, dim uint64, yIn, out vector.
 //     which is only invisible when the element it would have landed on
 //     is unchanged by adding +0.0. negZeroSafe proves that for the
 //     whole yIn in one read pass (yIn == nil is trivially safe: the
-//     drain starts from +0.0). A dirty yIn forces the dense walk even
-//     under DrainSparse — the mode requests a strategy, never a
-//     different result.
-//   - Profitability (DrainAuto only): the routed record count must be
-//     at most half the output dimension, so the records the sparse
-//     drain visits are guaranteed fewer than the keys the dense walk
-//     would. DrainSparse skips this check for benchmarking.
+//     drain starts from +0.0). A dirty yIn forces the dense walk.
+//   - Profitability: the routed record count must be at most half the
+//     output dimension, so the records the sparse drain visits are
+//     guaranteed fewer than the keys the dense walk would.
 //
 // The decision consumes only the already-collected routing stats, so it
 // costs one scan of yIn at most and never perturbs results, ledgers, or
 // merge statistics.
 func (n *Network) sparseDrainOK(dim uint64, yIn vector.Dense, st *Stats) bool {
-	mode := n.cfg.drain()
-	if mode == DrainDense {
+	if n.drainForce < 0 {
 		return false
 	}
-	if mode == DrainAuto {
+	if n.drainForce == 0 {
 		var routed uint64
 		for _, c := range st.PerCoreInput {
 			routed += c

@@ -106,16 +106,14 @@ func TestPrefetchMergeEquivalence(t *testing.T) {
 	}
 	got := vector.NewDense(int(dim))
 	for r := uint64(0); r < 1<<q; r++ {
-		sources := make([]merge.Source, len(lists))
+		slots := make([][]types.Record, len(lists))
 		for li := range lists {
-			sources[li] = p.SlotSource(li, r).(merge.Source)
-		}
-		acc := merge.NewAccumulator(merge.NewMerged(sources))
-		for {
-			rec, ok := acc.Next()
-			if !ok {
-				break
+			src := p.SlotSource(li, r).(merge.Source)
+			for rec, ok := src.Next(); ok; rec, ok = src.Next() {
+				slots[li] = append(slots[li], rec)
 			}
+		}
+		for _, rec := range merge.MergeAccumulate(slots) {
 			got[rec.Key] += rec.Val
 		}
 	}

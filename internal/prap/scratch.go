@@ -3,16 +3,15 @@ package prap
 import (
 	"sync"
 
-	"mwmerge/internal/bitonic"
 	"mwmerge/internal/merge"
 	"mwmerge/internal/types"
 )
 
 // mergeScratch is the network-owned arena recycled across Merge/MergeInto
-// calls: presort slots, per-worker route batches, per-list route
-// outcomes, per-core merge workspaces and output buffers, the store-queue
+// calls: route slots, per-list route outcomes, per-core merge
+// workspaces and output buffers, the store-queue
 // counters, and the segmentPlan pending array. Every sub-buffer is
-// indexed by list, worker, or core id, so the parallel phases never share
+// indexed by list or core id, so the parallel phases never share
 // an element and reuse cannot perturb the deterministic schedule. One
 // merge run owns the arena at a time: callers acquire it with TryLock and
 // fall back to a fresh arena when another Merge is in flight, which keeps
@@ -20,10 +19,8 @@ import (
 // on the contended path.
 type mergeScratch struct {
 	mu       sync.Mutex
-	slots    [][][]types.Record // [radix][list], recycled via [:0]
+	slots    [][][]types.Record // [radix][list], sized by reserveSlots
 	outcomes []routeOutcome     // per list, perCore counters recycled
-	batches  [][]types.Record   // per presort worker
-	sortBufs []bitonic.SortBuf  // per presort worker
 	cores    []coreScratch      // per merge core
 	injected []uint64           // per core
 	emitted  []uint64           // per core
@@ -32,13 +29,11 @@ type mergeScratch struct {
 }
 
 // coreScratch is the per-merge-core slice of the arena: the recycled
-// merge-accumulate output buffer and one workspace per kernel (only the
-// configured kernel's workspace ever grows arenas). Exactly one
-// goroutine drains core r in any run, so cores[r] needs no lock.
+// merge-accumulate output buffer and the Merge-Path workspace. Exactly
+// one goroutine drains core r in any run, so cores[r] needs no lock.
 type coreScratch struct {
 	merged []types.Record
-	ws     merge.Workspace
-	mp     merge.MergePathWorkspace
+	ws     merge.MergePathWorkspace
 }
 
 // acquire returns the network's arena when free, or a fresh one when a
@@ -50,8 +45,9 @@ func (n *Network) acquire() (scr *mergeScratch, release func()) {
 	return &mergeScratch{}, func() {}
 }
 
-// slotsFor returns the [radix][list] slot matrix, every cell truncated to
-// length zero with capacity retained.
+// slotsFor returns the p×nl [radix][list] slot matrix with every cell's
+// capacity retained; routeList empties and sizes a list's cells through
+// reserveSlots before it scatters into them.
 func (s *mergeScratch) slotsFor(p, nl int) [][][]types.Record {
 	for len(s.slots) < p {
 		s.slots = append(s.slots, nil)
@@ -62,11 +58,7 @@ func (s *mergeScratch) slotsFor(p, nl int) [][][]types.Record {
 		for len(row) < nl {
 			row = append(row, nil)
 		}
-		row = row[:nl]
-		for li := range row {
-			row[li] = row[li][:0]
-		}
-		slots[r] = row
+		slots[r] = row[:nl]
 	}
 	s.slots = slots
 	return slots
@@ -91,32 +83,6 @@ func (s *mergeScratch) outcomesFor(nl, p int) []routeOutcome {
 	}
 	s.outcomes = out
 	return out
-}
-
-// batchesFor returns one p-record presort batch per worker.
-func (s *mergeScratch) batchesFor(w, p int) [][]types.Record {
-	for len(s.batches) < w {
-		s.batches = append(s.batches, nil)
-	}
-	b := s.batches[:w]
-	for i := range b {
-		if cap(b[i]) < p {
-			b[i] = make([]types.Record, p)
-		}
-		b[i] = b[i][:p]
-	}
-	s.batches = b
-	return b
-}
-
-// sortBufsFor returns one bitonic lane buffer per presort worker, so
-// every batch of the run sorts through a recycled lane array.
-func (s *mergeScratch) sortBufsFor(w int) []bitonic.SortBuf {
-	for len(s.sortBufs) < w {
-		s.sortBufs = append(s.sortBufs, bitonic.SortBuf{})
-	}
-	s.sortBufs = s.sortBufs[:w]
-	return s.sortBufs
 }
 
 // coresFor returns the per-core workspaces.
