@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mwmerge/internal/graph"
+	"mwmerge/internal/vector"
 )
 
 // steadyAllocBudget is the documented per-iteration allocation ceiling
@@ -24,7 +25,8 @@ const steadyAllocBudget = 16
 
 // TestIterateSteadyStateAllocs warms one engine, then measures the
 // allocations of further Iterate calls and holds each schedule to the
-// per-iteration budget.
+// per-iteration budget. A k=4 IterateBlock run is held to the same
+// budget per (iteration × column).
 func TestIterateSteadyStateAllocs(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1
@@ -57,5 +59,25 @@ func TestIterateSteadyStateAllocs(t *testing.T) {
 			t.Errorf("overlap=%v: %.2f allocs/iteration exceeds budget %d",
 				overlap, perIter, steadyAllocBudget)
 		}
+	}
+
+	const k = 4
+	x0s := make([]vector.Dense, k)
+	for c := range x0s {
+		x0s[c] = randomX(n, int64(10+c))
+	}
+	opt := IterateOptions{Iterations: iters, Damping: 0.85}
+	if _, err := e.IterateBlock(a, x0s, opt); err != nil {
+		t.Fatal(err)
+	}
+	perCall := testing.AllocsPerRun(10, func() {
+		if _, err := e.IterateBlock(a, x0s, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perColIter := perCall / (iters * k)
+	t.Logf("block k=%d: %.1f allocs/call, %.2f allocs/(iteration×column)", k, perCall, perColIter)
+	if perColIter > steadyAllocBudget {
+		t.Errorf("block k=%d: %.2f allocs/(iteration×column) exceeds budget %d", k, perColIter, steadyAllocBudget)
 	}
 }

@@ -16,9 +16,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
-	"mwmerge/internal/hdn"
 	"mwmerge/internal/matrix"
 	"mwmerge/internal/report"
 	"mwmerge/internal/vector"
@@ -79,12 +77,13 @@ func blockYIn(yIns []vector.Dense, c int) vector.Dense {
 
 // spmvBlockCompute runs one k-column Two-Step application into ys (each
 // length a.Rows, fully overwritten), reusing the plan cache and a k-wide
-// step-1 bank. With non-nil deltas it additionally splits the batch's
-// counter movement per column: deltas[c] is the cumulative-counter delta
-// across column c's commit + merge, with the batch-level detector and
-// matrix charges folded into deltas[0]. It re-validates the inputs so
-// iterative callers surface exactly the errors a standalone SpMVBlock
-// call would.
+// step-1 bank. It is the engine's one non-overlapped SpMV path: SpMV
+// and the sequential Iterate/PageRank loops are its k=1 runs. With
+// non-nil deltas it additionally splits the batch's counter movement
+// per column: deltas[c] is the cumulative-counter delta across column
+// c's commit + merge, with the batch-level detector and matrix charges
+// folded into deltas[0]. It re-validates the inputs so iterative
+// callers surface exactly the errors a standalone SpMVBlock call would.
 func (e *Engine) spmvBlockCompute(a *matrix.COO, xs, yIns, ys []vector.Dense, deltas []report.Counters) error {
 	for c := range xs {
 		if err := e.checkSpMV(a, xs[c], blockYIn(yIns, c)); err != nil {
@@ -101,12 +100,10 @@ func (e *Engine) spmvBlockCompute(a *matrix.COO, xs, yIns, ys []vector.Dense, de
 	}
 	e.chargeDetector(a, plan.det)
 	bank := e.nextBank()
-	e.step1ComputeBlock(plan.stripes, xs, plan.det, bank)
-	n := len(plan.stripes)
+	e.step1Compute(plan.stripes, xs, plan.det, nil, bank)
 	for c := range xs {
-		e.noteStripeSkew(plan.stripes)
-		lists := bank.lists[c*n : (c+1)*n]
-		if err := e.commitOutcomes(bank.outcomes[c*n:(c+1)*n], lists); err != nil {
+		lists, err := e.commitStep1(plan.stripes, bank, c)
+		if err != nil {
 			return err
 		}
 		if err := e.runStep2Into(lists, a.Rows, blockYIn(yIns, c), ys[c], 0, nil); err != nil {
@@ -119,65 +116,6 @@ func (e *Engine) spmvBlockCompute(a *matrix.COO, xs, yIns, ys []vector.Dense, de
 		}
 	}
 	return nil
-}
-
-// step1ComputeBlock is step1Compute widened to k columns: the worker
-// fan-out still dispatches stripes, but a worker holding stripe s runs
-// it against all k source segments before moving on — the stripe stays
-// resident while every column consumes it, which is exactly why the
-// matrix stream is charged only for the first column (chargeMatrix).
-// Outcome and scratch slots are laid out column-major, c·n + s, so
-// stripe s of column c touches only its own slot and parallel runs stay
-// race-free and deterministic.
-func (e *Engine) step1ComputeBlock(stripes []*matrix.Stripe, xs []vector.Dense, det *hdn.Detector, bank *stripeBank) {
-	n := len(stripes)
-	bank.sized(n * len(xs))
-	outcomes := bank.outcomes
-	//lint:allow allocfree per-batch worker closure, counted in the DESIGN.md §9 alloc budget
-	run := func(w, k int) {
-		for c, x := range xs {
-			outcomes[c*n+k] = e.stripeTask(w, k, stripes[k], x, det, &bank.stripes[c*n+k], c == 0)
-		}
-	}
-
-	workers := e.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	var s1 report.Span
-	if e.rec != nil {
-		s1 = e.rec.StartSpan("phase", "s1")
-	}
-	if workers <= 1 {
-		for k := range stripes {
-			run(0, k)
-		}
-	} else {
-		var wg sync.WaitGroup
-		//lint:allow allocfree per-batch fan-out channel, counted in the DESIGN.md §9 alloc budget
-		work := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			//lint:allow allocfree per-batch worker goroutine closure, counted in the DESIGN.md §9 alloc budget
-			go func(w int) {
-				defer wg.Done()
-				for k := range work {
-					run(w, k)
-				}
-			}(w)
-		}
-		for k := range stripes {
-			work <- k
-		}
-		close(work)
-		wg.Wait()
-	}
-	if e.rec != nil {
-		s1.End()
-	}
 }
 
 // IterateBlockResult reports a block iterative run: the k final vectors
@@ -217,6 +155,21 @@ func (e *Engine) IterateBlock(a *matrix.COO, x0s []vector.Dense, opt IterateOpti
 			return res, err
 		}
 	}
+	xs, err := e.iterateColumns(a, x0s, opt)
+	if err != nil {
+		return res, err
+	}
+	res.Xs = xs
+	res.Iterations = opt.Iterations
+	return res, nil
+}
+
+// iterateColumns is the sequential (non-overlapped) iteration loop
+// behind Iterate (k=1) and IterateBlock: opt.Iterations block SpMVs over
+// the k columns, each followed by the damping update and, between
+// iterations, one y-as-next-x round trip per column. Errors are wrapped
+// with the iteration they surfaced in.
+func (e *Engine) iterateColumns(a *matrix.COO, x0s []vector.Dense, opt IterateOptions) ([]vector.Dense, error) {
 	k := len(x0s)
 	e.reserveDense(k)
 	e.iterating = true
@@ -234,8 +187,8 @@ func (e *Engine) IterateBlock(a *matrix.COO, x0s []vector.Dense, opt IterateOpti
 		if e.rec != nil {
 			iterStart = e.rec.Now()
 		}
-		// k-wide ping-pong through the widened dense free list: every
-		// source buffer becomes a future result buffer. The final xs are
+		// k-wide ping-pong through the dense free list: every source
+		// buffer becomes a future result buffer. The final xs are
 		// returned and therefore never recycled.
 		for c := range ys {
 			ys[c] = e.getDense(int(a.Rows))
@@ -244,7 +197,7 @@ func (e *Engine) IterateBlock(a *matrix.COO, x0s []vector.Dense, opt IterateOpti
 			for c := range ys {
 				e.putDense(ys[c])
 			}
-			return res, fmt.Errorf("core: iteration %d: %w", it, err)
+			return nil, fmt.Errorf("core: iteration %d: %w", it, err)
 		}
 		for c := range ys {
 			if damping != 0 {
@@ -254,17 +207,13 @@ func (e *Engine) IterateBlock(a *matrix.COO, x0s []vector.Dense, opt IterateOpti
 			xs[c] = ys[c]
 		}
 		if it < opt.Iterations-1 {
-			// One y-as-next-x round trip per column, exactly as k
-			// sequential Iterate runs would book.
 			for range xs {
 				e.accountTransition(a.Rows, false)
 			}
 		}
 		e.recordIteration(it, iterStart)
 	}
-	res.Xs = xs
-	res.Iterations = opt.Iterations
-	return res, nil
+	return xs, nil
 }
 
 // PageRankBlockResult reports a multi-source block PageRank run: one

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"mwmerge/internal/graph"
 	"mwmerge/internal/hdn"
+	"mwmerge/internal/matrix"
 	"mwmerge/internal/report"
 	"mwmerge/internal/vector"
 	"mwmerge/internal/vldi"
@@ -89,13 +93,37 @@ func TestSpMVBlockK1MatchesSpMV(t *testing.T) {
 // under every configuration: bit-identity of each column against a
 // sequential run, the once-per-batch ledger rule (block == k sequential
 // minus (k-1)x the matrix share, including the HDN filter build and
-// matrix-meta VLDI footprints), and the per-column delta split.
+// matrix-meta VLDI footprints), and the per-column delta split. The
+// skewed RMAT input gives the ungated LPT schedule a non-ascending
+// dispatch order, so the Workers=4 configuration proves that the block
+// path's heaviest-first dispatch cannot move a bit.
 func TestSpMVBlockMatchesSequential(t *testing.T) {
-	const k = 3
-	a, err := graph.ErdosRenyi(700, 5, 11)
+	uniform, err := graph.ErdosRenyi(700, 5, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
+	skewed, err := graph.RMAT(12, 4, graph.Graph500Params(), 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripes, err := matrix.Partition1D(skewed, testConfig().SegmentWidth())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lpt lptScratch
+	if order := lpt.plan(stripes); sort.IntsAreSorted(order) {
+		t.Fatalf("skewed input's LPT order %v is ascending; it would not exercise reordered dispatch", order)
+	}
+	for _, a := range []*matrix.COO{uniform, skewed} {
+		checkBlockMatchesSequential(t, a)
+	}
+}
+
+// checkBlockMatchesSequential runs TestSpMVBlockMatchesSequential's
+// checks on one input matrix under every block test configuration.
+func checkBlockMatchesSequential(t *testing.T, a *matrix.COO) {
+	t.Helper()
+	const k = 3
 	xs := make([]vector.Dense, k)
 	yIns := make([]vector.Dense, k)
 	for c := range xs {
@@ -103,7 +131,8 @@ func TestSpMVBlockMatchesSequential(t *testing.T) {
 		yIns[c] = randomX(a.Rows, int64(30+c))
 	}
 
-	for name, cfg := range blockTestConfigs(t) {
+	for cfgName, cfg := range blockTestConfigs(t) {
+		name := fmt.Sprintf("%s/n=%d", cfgName, a.Rows)
 		// Single-run ledger: the matrix share every extra column saves.
 		one, err := New(cfg)
 		if err != nil {
@@ -199,10 +228,92 @@ func TestSpMVBlockValidation(t *testing.T) {
 	}
 }
 
-// TestIterateBlockMatchesIterate pins block iteration against k
-// independent Iterate runs: bit-identical trajectories per column, and
-// rejection of the ITS overlap schedule (whose two-buffer pipeline is
-// single-column by construction).
+// iterateOracle is the sequential iteration loop written out with
+// standalone SpMV calls: opt.Iterations applications of A, each damped
+// with dampSegment, and the y-as-next-x transition booked between
+// iterations. It is independent of the engine's shared iteration loop,
+// so the scalar and block entry points are both checked against it.
+func iterateOracle(t *testing.T, e *Engine, a *matrix.COO, x0 vector.Dense, opt IterateOptions) vector.Dense {
+	t.Helper()
+	base := (1 - opt.Damping) / float64(a.Rows)
+	x := x0.Clone()
+	for it := 0; it < opt.Iterations; it++ {
+		y, err := e.SpMV(a, x, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opt.Damping != 0 {
+			dampSegment(y, opt.Damping, base)
+		}
+		x = y
+		if it < opt.Iterations-1 {
+			e.accountTransition(a.Rows, false)
+		}
+	}
+	return x
+}
+
+// pageRankOracle is the sequential PageRank loop written out with
+// standalone SpMV calls on the column-normalized matrix: the teleport
+// base from the source's dangling mass, the L1 convergence test, and a
+// transition booked whenever another SpMV follows. A nil x0 is the
+// uniform start.
+func pageRankOracle(t *testing.T, e *Engine, a *matrix.COO, x0 vector.Dense, damping, tol float64, maxIters int) (vector.Dense, int) {
+	t.Helper()
+	n := a.Rows
+	norm, dangling := pageRankSetup(a)
+	x := vector.NewDense(int(n))
+	if x0 == nil {
+		x.Fill(1 / float64(n))
+	} else {
+		copy(x, x0)
+	}
+	for it := 1; it <= maxIters; it++ {
+		y, err := e.SpMV(norm, x, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dampSegment(y, damping, teleportBase(x, dangling, damping, n))
+		delta := l1Delta(y, x)
+		x = y
+		if delta < tol {
+			return x, it
+		}
+		if it < maxIters {
+			e.accountTransition(n, false)
+		}
+	}
+	return x, maxIters
+}
+
+// sameBits reports whether two vectors are bitwise identical.
+func sameBits(a, b vector.Dense) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameAccounting reports whether two engines hold identical ledgers and
+// statistics.
+func sameAccounting(a, b *Engine) bool {
+	return a.Counters() == b.Counters() && reflect.DeepEqual(a.Stats(), b.Stats())
+}
+
+// TestIterateBlockMatchesIterate pins both non-overlapped iteration
+// entry points against iterateOracle under every block configuration:
+// Iterate and a k=1 IterateBlock must match it bitwise with an equal
+// ledger and statistics; each column of a k=3 IterateBlock must match
+// its own oracle run bitwise, with the batch ledger equal to the k
+// oracle runs minus (k-1)x the matrix share of every iteration; and
+// the ITS pipeline (Overlap), a separate driver, must reproduce the
+// oracle's bits. Block iteration rejects the overlap schedule, whose
+// two-buffer pipeline is single-column by construction.
 func TestIterateBlockMatchesIterate(t *testing.T) {
 	const k = 3
 	a, err := graph.ErdosRenyi(500, 4, 17)
@@ -214,46 +325,99 @@ func TestIterateBlockMatchesIterate(t *testing.T) {
 		x0s[c] = randomX(a.Cols, int64(40+c))
 	}
 	opt := IterateOptions{Iterations: 4, Damping: 0.85}
-
-	want := make([]vector.Dense, k)
-	for c := range x0s {
-		e, err := New(testConfig())
+	newEngine := func(cfg Config) *Engine {
+		e, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := e.Iterate(a, x0s[c], opt)
+		return e
+	}
+
+	for name, cfg := range blockTestConfigs(t) {
+		oracle := newEngine(cfg)
+		want := iterateOracle(t, oracle, a, x0s[0], opt)
+
+		scalar := newEngine(cfg)
+		r, err := scalar.Iterate(a, x0s[0], opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[c] = r.X
-	}
-
-	blk, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := blk.IterateBlock(a, x0s, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations != opt.Iterations {
-		t.Errorf("Iterations = %d, want %d", res.Iterations, opt.Iterations)
-	}
-	for c := range want {
-		if d := res.Xs[c].MaxAbsDiff(want[c]); d != 0 {
-			t.Errorf("column %d trajectory differs from Iterate by %g", c, d)
+		if !sameBits(r.X, want) || r.Iterations != opt.Iterations {
+			t.Errorf("%s: Iterate differs from the oracle loop", name)
 		}
-	}
+		if !sameAccounting(scalar, oracle) {
+			t.Errorf("%s: Iterate ledger/stats differ from the oracle loop:\n got %+v\nwant %+v", name, scalar.Counters(), oracle.Counters())
+		}
 
-	opt.Overlap = true
-	if _, err := blk.IterateBlock(a, x0s, opt); err == nil || !strings.Contains(err.Error(), "overlap") {
-		t.Errorf("ITS overlap accepted by block iteration: %v", err)
+		one := newEngine(cfg)
+		r1, err := one.IterateBlock(a, x0s[:1], opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(r1.Xs[0], want) || r1.Iterations != opt.Iterations {
+			t.Errorf("%s: k=1 IterateBlock differs from the oracle loop", name)
+		}
+		if !sameAccounting(one, oracle) {
+			t.Errorf("%s: k=1 IterateBlock ledger/stats differ from the oracle loop", name)
+		}
+
+		overlapped := newEngine(cfg)
+		ro, err := overlapped.Iterate(a, x0s[0], IterateOptions{Iterations: opt.Iterations, Damping: opt.Damping, Overlap: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(ro.X, want) {
+			t.Errorf("%s: overlapped Iterate differs from the oracle loop", name)
+		}
+
+		// k oracle runs on one engine, and one SpMV's matrix share.
+		seq := newEngine(cfg)
+		wantCols := make([]vector.Dense, k)
+		for c := range x0s {
+			wantCols[c] = iterateOracle(t, seq, a, x0s[c], opt)
+		}
+		single := newEngine(cfg)
+		if _, err := single.SpMV(a, x0s[0], nil); err != nil {
+			t.Fatal(err)
+		}
+		share := single.Counters()
+
+		blk := newEngine(cfg)
+		res, err := blk.IterateBlock(a, x0s, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iterations != opt.Iterations {
+			t.Errorf("%s: Iterations = %d, want %d", name, res.Iterations, opt.Iterations)
+		}
+		for c := range wantCols {
+			if !sameBits(res.Xs[c], wantCols[c]) {
+				t.Errorf("%s: column %d trajectory differs from the oracle loop", name, c)
+			}
+		}
+		saved := uint64((k - 1) * opt.Iterations)
+		wantLedger := seq.Counters()
+		wantLedger.Traffic.MatrixBytes -= saved * share.Traffic.MatrixBytes
+		wantLedger.MatCompressedBytes -= saved * share.MatCompressedBytes
+		wantLedger.MatUncompressedBytes -= saved * share.MatUncompressedBytes
+		if blk.Counters() != wantLedger {
+			t.Errorf("%s: block ledger violates the once-per-batch rule:\n got  %+v\n want %+v", name, blk.Counters(), wantLedger)
+		}
+
+		opt := opt
+		opt.Overlap = true
+		if _, err := blk.IterateBlock(a, x0s, opt); err == nil || !strings.Contains(err.Error(), "overlap") {
+			t.Errorf("%s: ITS overlap accepted by block iteration: %v", name, err)
+		}
 	}
 }
 
-// TestPageRankBlockMatchesPageRank checks both start modes: nil columns
-// (uniform start) must reproduce the sequential PageRank bit-exactly,
-// and arbitrary starts must match the k=1 block run of the same column.
+// TestPageRankBlockMatchesPageRank pins both PageRank entry points
+// against pageRankOracle: PageRank must match it bitwise, in iteration
+// count, ledger and statistics, and so must its overlapped (ITS) run in
+// bits and iterations; PageRankBlock with uniform (nil) and arbitrary
+// starts — columns converging at different iterations, which exercises
+// the live-set compaction — must match each column's own oracle run.
 func TestPageRankBlockMatchesPageRank(t *testing.T) {
 	a, err := graph.ErdosRenyi(400, 4, 23)
 	if err != nil {
@@ -264,69 +428,53 @@ func TestPageRankBlockMatchesPageRank(t *testing.T) {
 		tol      = 1e-8
 		maxIters = 50
 	)
-
-	seqEng, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqRank, seqIters, err := seqEng.PageRank(a, damping, tol, maxIters, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	blk, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := blk.PageRankBlock(a, []vector.Dense{nil, nil}, damping, tol, maxIters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < 2; c++ {
-		if d := res.Ranks[c].MaxAbsDiff(seqRank); d != 0 {
-			t.Errorf("uniform column %d differs from sequential PageRank by %g", c, d)
+	newEngine := func() *Engine {
+		e, err := New(testConfig())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if res.Iterations[c] != seqIters {
-			t.Errorf("uniform column %d converged in %d iterations, want %d", c, res.Iterations[c], seqIters)
+		return e
+	}
+
+	oracle := newEngine()
+	wantRank, wantIters := pageRankOracle(t, oracle, a, nil, damping, tol, maxIters)
+	if wantIters == maxIters {
+		t.Fatalf("oracle did not converge within %d iterations", maxIters)
+	}
+	for _, overlap := range []bool{false, true} {
+		e := newEngine()
+		rank, iters, err := e.PageRank(a, damping, tol, maxIters, overlap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(rank, wantRank) || iters != wantIters {
+			t.Errorf("overlap=%v: PageRank differs from the oracle loop (%d iterations, want %d)", overlap, iters, wantIters)
+		}
+		if !overlap && !sameAccounting(e, oracle) {
+			t.Errorf("PageRank ledger/stats differ from the oracle loop:\n got %+v\nwant %+v", e.Counters(), oracle.Counters())
 		}
 	}
 
-	// Arbitrary starts: different columns converge at different
-	// iterations, exercising the active-set compaction. Each column must
-	// match its own single-column run exactly.
-	starts := []vector.Dense{nil, randomX(a.Cols, 51), randomX(a.Cols, 52)}
-	for c := range starts {
-		if starts[c] != nil {
-			// PageRank starts are distributions; keep them positive.
-			for i := range starts[c] {
-				if starts[c][i] < 0 {
-					starts[c][i] = -starts[c][i]
-				}
+	starts := []vector.Dense{nil, nil, randomX(a.Cols, 51), randomX(a.Cols, 52)}
+	for _, x := range starts {
+		// PageRank starts are distributions; keep them positive.
+		for i := range x {
+			if x[i] < 0 {
+				x[i] = -x[i]
 			}
 		}
 	}
-	multi, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := multi.PageRankBlock(a, starts, damping, tol, maxIters)
+	got, err := newEngine().PageRankBlock(a, starts, damping, tol, maxIters)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for c := range starts {
-		solo, err := New(testConfig())
-		if err != nil {
-			t.Fatal(err)
+		want, iters := pageRankOracle(t, newEngine(), a, starts[c], damping, tol, maxIters)
+		if !sameBits(got.Ranks[c], want) {
+			t.Errorf("column %d differs from its oracle run", c)
 		}
-		want, err := solo.PageRankBlock(a, starts[c:c+1], damping, tol, maxIters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := got.Ranks[c].MaxAbsDiff(want.Ranks[0]); d != 0 {
-			t.Errorf("column %d differs from its single-column run by %g", c, d)
-		}
-		if got.Iterations[c] != want.Iterations[0] {
-			t.Errorf("column %d: %d iterations, single-column run took %d", c, got.Iterations[c], want.Iterations[0])
+		if got.Iterations[c] != iters {
+			t.Errorf("column %d: %d iterations, the oracle took %d", c, got.Iterations[c], iters)
 		}
 	}
 }

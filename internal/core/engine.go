@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strconv"
-	"sync"
 
 	"mwmerge/internal/hdn"
 	"mwmerge/internal/matrix"
@@ -32,7 +31,8 @@ type Engine struct {
 
 	// Steady-state memory reuse (scratch.go): the cached matrix plan,
 	// the two rotating step-1 banks, the dense free list, and the
-	// recycled pipeline handoff primitives. All are confined to the
+	// recycled pipeline handoff primitives (gate, handoff channel, and
+	// the one-column step-1 source set). All are confined to the
 	// goroutine driving the engine's public methods. denseFreeCap widens
 	// the free-list bound once a block entry point has run, so k-wide
 	// ping-pong buffers keep recycling (see denseFreeBound).
@@ -43,6 +43,7 @@ type Engine struct {
 	denseFreeCap int
 	gate         *segmentGate
 	nextCh       chan step1Result
+	pipeSrc      [1]vector.Dense
 	frontier     frontierScratch
 	lpt          lptScratch
 }
@@ -220,8 +221,10 @@ func (e *Engine) SpMV(a *matrix.COO, x, yIn vector.Dense) (vector.Dense, error) 
 	if err := e.checkSpMV(a, x, yIn); err != nil {
 		return nil, err
 	}
+	// SpMV is the k=1 block run (DESIGN.md §11): one driver, one
+	// accounting path.
 	y := vector.NewDense(int(a.Rows))
-	if err := e.spmvCompute(a, x, yIn, y); err != nil {
+	if err := e.spmvBlockCompute(a, []vector.Dense{x}, []vector.Dense{yIn}, []vector.Dense{y}, nil); err != nil {
 		return nil, err
 	}
 	if !e.iterating {
@@ -262,28 +265,6 @@ func (c Config) CheckOperands(a *matrix.COO, xDim uint64, yIn vector.Dense) erro
 			a.Rows, c.MaxDimension(), c.Merge.Ways, c.SegmentWidth())
 	}
 	return nil
-}
-
-// spmvCompute runs one Two-Step application into y (length a.Rows,
-// fully overwritten), reusing the plan cache and a step-1 bank. It
-// re-validates the inputs so iterative callers surface exactly the
-// errors a standalone SpMV call would.
-func (e *Engine) spmvCompute(a *matrix.COO, x, yIn, y vector.Dense) error {
-	if err := e.checkSpMV(a, x, yIn); err != nil {
-		return err
-	}
-	plan, err := e.planFor(a)
-	if err != nil {
-		return err
-	}
-	e.chargeDetector(a, plan.det)
-	bank := e.nextBank()
-	e.step1Compute(plan.stripes, x, plan.det, nil, bank)
-	lists, err := e.commitStep1(plan.stripes, bank)
-	if err != nil {
-		return err
-	}
-	return e.runStep2Into(lists, a.Rows, yIn, y, 0, nil)
 }
 
 // stripeOutcome carries one stripe's records plus its accounting deltas,
@@ -333,97 +314,97 @@ func (e *Engine) planStripes(a *matrix.COO) ([]*matrix.Stripe, error) {
 	return stripes, nil
 }
 
-// step1Compute executes the per-stripe partial SpMV across Workers
-// goroutines without touching persistent engine state (recorder spans
-// aside), which is what lets the ITS pipeline run it concurrently with
-// the previous iteration's step 2. Outcomes land in the bank, whose
-// per-stripe scratch slots the workers recycle (stripe k touches only
-// slot k, so parallel runs stay race-free and deterministic). With a
-// non-nil gate, stripe k first waits until segment k of x has been
-// published and releases its handoff slot when done — successful or
-// not, so a failed stripe can never starve the producer.
-func (e *Engine) step1Compute(stripes []*matrix.Stripe, x vector.Dense, det *hdn.Detector, gate *segmentGate, bank *stripeBank) {
-	bank.sized(len(stripes))
+// step1Compute executes step 1 — the per-stripe partial SpMV — for the
+// k source vectors xs across Workers goroutines, without touching
+// persistent engine state (recorder spans aside), which is what lets the
+// ITS pipeline run it concurrently with the previous iteration's step 2.
+// It is the engine's only dense step-1 driver: SpMV, Iterate and
+// PageRank are its k=1 runs, the block entry points its k-column runs.
+// A worker holding stripe s runs it against all k source segments
+// before moving on — the stripe stays resident while every column
+// consumes it, which is why only column 0 charges the matrix stream
+// (DESIGN.md §11). Outcomes land in the bank column-major, slot c·n+s,
+// so stripe s of column c touches only its own recycled scratch slot
+// and parallel runs stay race-free and deterministic. With a non-nil
+// gate (the ITS pipeline, always k=1), stripe s first waits until
+// segment s of x has been published and releases its handoff slot when
+// done — successful or not, so a failed stripe can never starve the
+// producer.
+func (e *Engine) step1Compute(stripes []*matrix.Stripe, xs []vector.Dense, det *hdn.Detector, gate *segmentGate, bank *stripeBank) {
+	n := len(stripes)
+	bank.sized(n * len(xs))
 	outcomes := bank.outcomes
-	//lint:allow allocfree per-iteration worker closure, counted in the DESIGN.md §9 alloc budget
-	run := func(w, k int) {
+	//lint:allow allocfree per-run worker closure, counted in the DESIGN.md §9 alloc budget
+	run := func(w, s int) {
 		if gate != nil {
-			if err := gate.wait(k); err != nil {
-				outcomes[k] = stripeOutcome{err: err}
+			if err := gate.wait(s); err != nil {
+				for c := range xs {
+					outcomes[c*n+s] = stripeOutcome{err: err}
+				}
 				gate.consume()
 				return
 			}
 			defer gate.consume()
 		}
-		outcomes[k] = e.stripeTask(w, k, stripes[k], x, det, &bank.stripes[k], true)
+		for c, x := range xs {
+			outcomes[c*n+s] = e.stripeTask(w, s, stripes[s], x, det, &bank.stripes[c*n+s], c == 0)
+		}
 	}
 
 	workers := e.cfg.Workers
-	if workers < 1 {
-		workers = 1
+	if workers > n {
+		workers = n
 	}
-	if workers > len(stripes) {
-		workers = len(stripes)
+	// Ascending dispatch order is load-bearing under a gate: it
+	// guarantees that whenever the producer is blocked on the handoff
+	// bound, the lowest published-but-unconsumed stripe is already held
+	// by some worker, so the pipeline always advances. Without a gate
+	// every stripe is ready immediately, so ungated runs dispatch
+	// heaviest-first (LPT) and cut the straggler tail on skewed
+	// partitions; e.lpt is safe here because an ungated run always
+	// executes on the goroutine driving the engine, with at most one in
+	// flight.
+	var order []int
+	if gate == nil && workers > 1 {
+		order = e.lpt.plan(stripes)
 	}
 	var s1 report.Span
 	if e.rec != nil {
 		s1 = e.rec.StartSpan("phase", "s1")
 	}
-	if workers <= 1 {
-		for k := range stripes {
-			run(0, k)
-		}
-	} else {
-		var wg sync.WaitGroup
-		//lint:allow allocfree per-iteration fan-out channel, counted in the DESIGN.md §9 alloc budget
-		work := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			//lint:allow allocfree per-iteration worker goroutine closure, counted in the DESIGN.md §9 alloc budget
-			go func(w int) {
-				defer wg.Done()
-				for k := range work {
-					run(w, k)
-				}
-			}(w)
-		}
-		// Ascending dispatch order is load-bearing under a gate: it
-		// guarantees that whenever the producer is blocked on the
-		// handoff bound, the lowest published-but-unconsumed stripe is
-		// already held by some worker, so the pipeline always advances.
-		// Without a gate every stripe is ready immediately, so the
-		// ungated path is free to dispatch heaviest-first (LPT) and cut
-		// the straggler tail on skewed partitions; e.lpt is safe here
-		// because the ungated run always executes on the goroutine
-		// driving the engine, with at most one in flight.
-		if gate != nil {
-			for k := range stripes {
-				work <- k
-			}
-		} else {
-			for _, k := range e.lpt.plan(stripes) {
-				work <- k
-			}
-		}
-		close(work)
-		wg.Wait()
-	}
+	prap.ForEach(workers, n, order, run)
 	if e.rec != nil {
 		s1.End()
 	}
 }
 
-// commitStep1 folds the bank's side-effect-free stripe outcomes into the
-// persistent ledger and statistics, in stripe order, and returns the
-// sorted intermediate record lists (headers owned by the bank, records
-// by its per-stripe slots — both live until the consuming step 2
-// finishes, which the two-bank rotation guarantees).
-func (e *Engine) commitStep1(stripes []*matrix.Stripe, bank *stripeBank) ([][]types.Record, error) {
+// commitStep1 folds column c of the bank's side-effect-free stripe
+// outcomes into the persistent ledger and statistics, in stripe order,
+// and returns that column's sorted intermediate record lists (headers
+// owned by the bank, records by its per-stripe slots — both live until
+// the consuming step 2 finishes, which the two-bank rotation
+// guarantees).
+func (e *Engine) commitStep1(stripes []*matrix.Stripe, bank *stripeBank, c int) ([][]types.Record, error) {
 	e.noteStripeSkew(stripes)
-	if err := e.commitOutcomes(bank.outcomes, bank.lists); err != nil {
-		return nil, err
+	n := len(stripes)
+	lists := bank.lists[c*n : (c+1)*n]
+	for k, out := range bank.outcomes[c*n : (c+1)*n] {
+		if out.err != nil {
+			return nil, out.err
+		}
+		lists[k] = out.recs
+		e.charge(out.traffic)
+		e.stats.Products += out.st.Products
+		e.stats.HDN.HDNRecords += out.st.HDN.HDNRecords
+		e.stats.HDN.GeneralRecords += out.st.HDN.GeneralRecords
+		e.stats.HDN.FalseRouted += out.st.HDN.FalseRouted
+		e.stats.IntermediateRecords += uint64(len(out.recs))
+		e.stats.CompressedVecBytes += out.compVec
+		e.stats.UncompressedVecBytes += out.uncompVec
+		e.stats.CompressedMatBytes += out.compMat
+		e.stats.UncompressedMatBytes += out.uncompMat
 	}
-	return bank.lists, nil
+	return lists, nil
 }
 
 // noteStripeSkew books one step-1 run's load-skew counters alongside
@@ -448,29 +429,6 @@ func (e *Engine) noteStripeSkew(stripes []*matrix.Stripe) {
 	e.stats.StripeNNZMax += max
 }
 
-// commitOutcomes is the shared fold behind commitStep1 and the block
-// path's per-column commit: outcome k's accounting lands in the
-// persistent ledger/statistics and its records become lists[k].
-func (e *Engine) commitOutcomes(outcomes []stripeOutcome, lists [][]types.Record) error {
-	for k, out := range outcomes {
-		if out.err != nil {
-			return out.err
-		}
-		lists[k] = out.recs
-		e.charge(out.traffic)
-		e.stats.Products += out.st.Products
-		e.stats.HDN.HDNRecords += out.st.HDN.HDNRecords
-		e.stats.HDN.GeneralRecords += out.st.HDN.GeneralRecords
-		e.stats.HDN.FalseRouted += out.st.HDN.FalseRouted
-		e.stats.IntermediateRecords += uint64(len(out.recs))
-		e.stats.CompressedVecBytes += out.compVec
-		e.stats.UncompressedVecBytes += out.uncompVec
-		e.stats.CompressedMatBytes += out.compMat
-		e.stats.UncompressedMatBytes += out.uncompMat
-	}
-	return nil
-}
-
 // stripeTask runs one stripe's step 1, wrapped in a span on the
 // executing worker's lane when a recorder is attached — the per-lane
 // utilization behind the report's step-1 load-balance view.
@@ -481,17 +439,6 @@ func (e *Engine) stripeTask(worker, k int, s *matrix.Stripe, x vector.Dense, det
 	sp := e.rec.StartSpan("step1/w"+strconv.Itoa(worker), "s"+strconv.Itoa(k))
 	defer sp.End()
 	return e.processStripe(s, x, det, scr, chargeMatrix)
-}
-
-// processStripeFresh is processStripe with a throwaway scratch slot.
-// The one-shot paths (SpMVStripes, SpMVSliced) allocate per stripe
-// instead of recycling a bank slot; keeping that mode out of
-// processStripe itself means the steady-state call graph never reaches
-// the allocating constructors, which is what lets spmvlint's allocfree
-// analyzer pin the iteration loop.
-func (e *Engine) processStripeFresh(s *matrix.Stripe, x vector.Dense, det *hdn.Detector) stripeOutcome {
-	var scr stripeScratch
-	return e.processStripe(s, x, det, &scr, true)
 }
 
 // processStripe runs step 1 for one stripe and computes its full

@@ -91,56 +91,35 @@ func (e *Engine) Iterate(a *matrix.COO, x0 vector.Dense, opt IterateOptions) (It
 		return res, err
 	}
 
-	e.iterating = true
-	defer func() { e.iterating = false }()
-
-	damping := opt.Damping
-	base := (1 - damping) / float64(a.Rows)
-
-	if opt.Overlap {
-		var hooks pipelineHooks
-		if damping != 0 {
-			hooks.update = func(int, vector.Dense) func(vector.Dense) {
-				return func(seg vector.Dense) { dampSegment(seg, damping, base) }
-			}
-		}
-		x, iters, saved, err := e.iteratePipelined(a, x0, opt.Iterations, hooks)
+	if !opt.Overlap {
+		// The sequential schedule is the k=1 block loop. x0 is not
+		// pre-checked, so a dimension error reads "iteration 0: ...",
+		// exactly as the first SpMV of the loop reports it.
+		xs, err := e.iterateColumns(a, []vector.Dense{x0}, opt)
 		if err != nil {
 			return res, err
 		}
-		res.X = x
-		res.Iterations = iters
-		res.TransitionBytesSaved = saved
+		res.X = xs[0]
+		res.Iterations = opt.Iterations
 		return res, nil
 	}
 
-	x := x0.Clone()
-	for it := 0; it < opt.Iterations; it++ {
-		var iterStart uint64
-		if e.rec != nil {
-			iterStart = e.rec.Now()
+	e.iterating = true
+	defer func() { e.iterating = false }()
+	var hooks pipelineHooks
+	if damping := opt.Damping; damping != 0 {
+		base := (1 - damping) / float64(a.Rows)
+		hooks.update = func(int, vector.Dense) func(vector.Dense) {
+			return func(seg vector.Dense) { dampSegment(seg, damping, base) }
 		}
-		// Ping-pong through the engine's dense free list: the previous
-		// iteration's source buffer becomes a future result buffer. The
-		// final x is returned and therefore never recycled.
-		y := e.getDense(int(a.Rows))
-		if err := e.spmvCompute(a, x, nil, y); err != nil {
-			e.putDense(y)
-			return res, fmt.Errorf("core: iteration %d: %w", it, err)
-		}
-		if damping != 0 {
-			dampSegment(y, damping, base)
-		}
-		e.putDense(x)
-		x = y
-
-		if it < opt.Iterations-1 {
-			e.accountTransition(a.Rows, false)
-		}
-		e.recordIteration(it, iterStart)
+	}
+	x, iters, saved, err := e.iteratePipelined(a, x0, opt.Iterations, hooks)
+	if err != nil {
+		return res, err
 	}
 	res.X = x
-	res.Iterations = opt.Iterations
+	res.Iterations = iters
+	res.TransitionBytesSaved = saved
 	return res, nil
 }
 
@@ -154,12 +133,21 @@ func (e *Engine) Iterate(a *matrix.COO, x0 vector.Dense, opt IterateOptions) (It
 // with the teleport update applied streaming per published segment —
 // bit-identical to the sequential schedule.
 func (e *Engine) PageRank(a *matrix.COO, damping, tol float64, maxIters int, overlap bool) (vector.Dense, int, error) {
+	if !overlap {
+		// The sequential schedule is the k=1 block run from the uniform
+		// start; PageRankBlock applies the same checks in the same order.
+		res, err := e.PageRankBlock(a, []vector.Dense{nil}, damping, tol, maxIters)
+		if err != nil {
+			return nil, 0, err
+		}
+		return res.Ranks[0], res.Iterations[0], nil
+	}
 	if a.Rows != a.Cols {
 		return nil, 0, fmt.Errorf("core: PageRank needs a square matrix")
 	}
 	// Capacity is checked before the O(nnz) normalization below: an
 	// over-capacity matrix must fail fast, not after a full clone.
-	if err := e.checkIterativeCapacity(a.Rows, overlap); err != nil {
+	if err := e.checkIterativeCapacity(a.Rows, true); err != nil {
 		return nil, 0, err
 	}
 
@@ -174,45 +162,17 @@ func (e *Engine) PageRank(a *matrix.COO, damping, tol float64, maxIters int, ove
 	e.iterating = true
 	defer func() { e.iterating = false }()
 
-	if overlap {
-		hooks := pipelineHooks{
-			update: func(_ int, src vector.Dense) func(vector.Dense) {
-				base := teleportBase(src, dangling, damping, n)
-				return func(seg vector.Dense) { dampSegment(seg, damping, base) }
-			},
-			converged: func(_ int, y, src vector.Dense) bool {
-				return l1Delta(y, src) < tol
-			},
-		}
-		ranks, iters, _, err := e.iteratePipelined(norm, x, maxIters, hooks)
-		return ranks, iters, err
+	hooks := pipelineHooks{
+		update: func(_ int, src vector.Dense) func(vector.Dense) {
+			base := teleportBase(src, dangling, damping, n)
+			return func(seg vector.Dense) { dampSegment(seg, damping, base) }
+		},
+		converged: func(_ int, y, src vector.Dense) bool {
+			return l1Delta(y, src) < tol
+		},
 	}
-
-	for it := 1; it <= maxIters; it++ {
-		var iterStart uint64
-		if e.rec != nil {
-			iterStart = e.rec.Now()
-		}
-		y := e.getDense(int(n))
-		if err := e.spmvCompute(norm, x, nil, y); err != nil {
-			e.putDense(y)
-			return nil, it, err
-		}
-		dampSegment(y, damping, teleportBase(x, dangling, damping, n))
-		delta := l1Delta(y, x)
-		e.putDense(x)
-		x = y
-		if delta < tol {
-			e.recordIteration(it-1, iterStart)
-			return x, it, nil
-		}
-		if it < maxIters {
-			// Another SpMV follows: book the transition round trip.
-			e.accountTransition(a.Rows, false)
-		}
-		e.recordIteration(it-1, iterStart)
-	}
-	return x, maxIters, nil
+	ranks, iters, _, err := e.iteratePipelined(norm, x, maxIters, hooks)
+	return ranks, iters, err
 }
 
 // pageRankSetup builds the PageRank operand from a: the column-normalized
@@ -220,9 +180,9 @@ func (e *Engine) PageRank(a *matrix.COO, damping, tol float64, maxIters int, ove
 // Dangling columns (sinks) push no mass through A, so ‖A·x‖₁ < 1 and
 // rank mass would leak every iteration; each iteration redistributes
 // their mass uniformly via the teleport base, keeping ‖x‖₁ = 1 exactly
-// (up to rounding). Shared by PageRank and PageRankBlock so the
-// normalized values — and therefore the per-column numerics — cannot
-// drift between the scalar and block drivers.
+// (up to rounding). Shared by the ITS driver behind overlapped PageRank
+// and by PageRankBlock so the normalized values — and therefore the
+// per-column numerics — cannot drift between the two schedules.
 func pageRankSetup(a *matrix.COO) (*matrix.COO, []uint64) {
 	n := a.Rows
 	colSum := make([]float64, n)

@@ -32,21 +32,11 @@ func (e *Engine) SpMVSliced(a *matrix.COO, x, yIn vector.Dense) (vector.Dense, i
 	if err != nil {
 		return nil, 0, err
 	}
-	e.noteStripeSkew(stripes)
-	lists := make([][]types.Record, len(stripes))
-	for k, s := range stripes {
-		out := e.processStripeFresh(s, x, nil)
-		if out.err != nil {
-			return nil, 0, out.err
-		}
-		lists[k] = out.recs
-		e.charge(out.traffic)
-		e.stats.Products += out.st.Products
-		e.stats.IntermediateRecords += uint64(len(out.recs))
-		e.stats.CompressedVecBytes += out.compVec
-		e.stats.UncompressedVecBytes += out.uncompVec
-		e.stats.CompressedMatBytes += out.compMat
-		e.stats.UncompressedMatBytes += out.uncompMat
+	bank := e.nextBank()
+	e.step1Compute(stripes, []vector.Dense{x}, nil, nil, bank)
+	lists, err := e.commitStep1(stripes, bank, 0)
+	if err != nil {
+		return nil, 0, err
 	}
 
 	passes := 0

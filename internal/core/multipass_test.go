@@ -5,6 +5,7 @@ import (
 
 	"mwmerge/internal/graph"
 	"mwmerge/internal/prap"
+	"mwmerge/internal/vector"
 )
 
 // tinyWaysConfig forces multi-pass merging: 4-way network, 64-element
@@ -20,27 +21,47 @@ func tinyWaysConfig() Config {
 	}
 }
 
+// TestSpMVSlicedMatchesReference runs the sliced path at Workers 1 and
+// 4: its step 1 fans out through the shared driver, so the parallel run
+// must also match the sequential one bitwise, with an equal ledger and
+// statistics.
 func TestSpMVSlicedMatchesReference(t *testing.T) {
-	e, err := New(tinyWaysConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	// 2000 columns / 64-wide segments = 32 stripes >> 4 ways.
 	a, err := graph.ErdosRenyi(2000, 3, 71)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := randomX(2000, 72)
-	y, passes, err := e.SpMVSliced(a, x, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if passes < 2 {
-		t.Errorf("expected >= 2 merge passes for 32 lists on a 4-way network, got %d", passes)
-	}
 	want, _ := referenceSpMV(a, x, nil)
-	if d := y.MaxAbsDiff(want); d > 1e-9 {
-		t.Errorf("sliced SpMV diff %g", d)
+	var first vector.Dense
+	var firstEng *Engine
+	for _, workers := range []int{1, 4} {
+		cfg := tinyWaysConfig()
+		cfg.Workers = workers
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, passes, err := e.SpMVSliced(a, x, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if passes < 2 {
+			t.Errorf("workers=%d: expected >= 2 merge passes for 32 lists on a 4-way network, got %d", workers, passes)
+		}
+		if d := y.MaxAbsDiff(want); d > 1e-9 {
+			t.Errorf("workers=%d: sliced SpMV diff %g", workers, d)
+		}
+		if first == nil {
+			first, firstEng = y, e
+			continue
+		}
+		if !sameBits(y, first) {
+			t.Errorf("workers=%d: sliced SpMV differs bitwise from workers=1", workers)
+		}
+		if !sameAccounting(e, firstEng) {
+			t.Errorf("workers=%d: sliced ledger/stats differ from workers=1", workers)
+		}
 	}
 }
 

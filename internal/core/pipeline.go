@@ -171,6 +171,11 @@ func (e *Engine) iteratePipelined(a *matrix.COO, x0 vector.Dense, maxIters int, 
 	width := e.cfg.SegmentWidth()
 
 	x := x0.Clone()
+	// src is the k=1 source set handed to the step-1 driver, backed by
+	// the engine so it costs no allocation. It is rewritten only before
+	// a step-1 run starts and after the previous one has been joined.
+	src := e.pipeSrc[:]
+	src[0] = x
 	var saved uint64
 	var iterStart uint64
 	if e.rec != nil {
@@ -178,10 +183,10 @@ func (e *Engine) iteratePipelined(a *matrix.COO, x0 vector.Dense, maxIters int, 
 	}
 	// Step 1 of iteration 0 has no producing step 2 to overlap with.
 	bank := e.nextBank()
-	e.step1Compute(stripes, x, det, nil, bank)
+	e.step1Compute(stripes, src, det, nil, bank)
 	for it := 0; ; it++ {
 		e.chargeDetector(a, det)
-		lists, err := e.commitStep1(stripes, bank)
+		lists, err := e.commitStep1(stripes, bank, 0)
 		if err != nil {
 			return nil, it, saved, fmt.Errorf("core: iteration %d: %w", it, err)
 		}
@@ -212,13 +217,14 @@ func (e *Engine) iteratePipelined(a *matrix.COO, x0 vector.Dense, maxIters int, 
 		gate := e.pipeGate(2)
 		next := e.pipeNext()
 		nextBank := e.nextBank()
+		src[0] = y
 		//lint:allow allocfree per-iteration speculative step-1 closure, counted in the DESIGN.md §9 alloc budget
 		go func() {
 			var r step1Result
 			if e.rec != nil {
 				r.start = e.rec.Now()
 			}
-			e.step1Compute(stripes, y, det, gate, nextBank)
+			e.step1Compute(stripes, src, det, gate, nextBank)
 			if e.rec != nil {
 				r.end = e.rec.Now()
 			}

@@ -10,52 +10,6 @@ import (
 	"mwmerge/internal/prap"
 )
 
-// TestSpMVStripesParallelIdentical pins the satellite rerouting of
-// SpMVStripes through step1Compute: the layout-streamed path now honors
-// cfg.Workers, and the worker count (hence the LPT dispatch order) must
-// be invisible in the result bits, the traffic ledger, and the stats.
-func TestSpMVStripesParallelIdentical(t *testing.T) {
-	a, err := graph.Zipf(2000, 4, 1.8, 71)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := randomX(2000, 72)
-	yIn := randomX(2000, 73)
-
-	run := func(workers int) (got []float64, eng *Engine) {
-		cfg := testConfig()
-		cfg.Workers = workers
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stripes, err := matrix.Partition1D(a, cfg.SegmentWidth())
-		if err != nil {
-			t.Fatal(err)
-		}
-		y, err := e.SpMVStripes(stripes, a.Rows, a.Cols, x, yIn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return y, e
-	}
-	want, e1 := run(1)
-	for _, workers := range []int{2, 4} {
-		got, e2 := run(workers)
-		for i := range want {
-			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-				t.Fatalf("workers=%d: y[%d] differs from sequential", workers, i)
-			}
-		}
-		if e1.Traffic() != e2.Traffic() {
-			t.Errorf("workers=%d: traffic ledger differs from sequential", workers)
-		}
-		if !reflect.DeepEqual(e1.Stats(), e2.Stats()) {
-			t.Errorf("workers=%d: run stats differ from sequential", workers)
-		}
-	}
-}
-
 // TestLPTPlanOrder pins the ungated dispatch order: stripes sorted by
 // descending nonzero weight, ties broken toward the lower index, and the
 // scratch recycled across plans of different sizes.

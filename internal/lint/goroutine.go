@@ -6,7 +6,8 @@ import (
 )
 
 // GoroutineAnalyzer polices the parallel merge paths. The repo's
-// concurrency contract (prap.forEach, core.runStep1) is that worker
+// concurrency contract (prap.ForEach, the fan-out behind both the PRaP
+// phases and core's step1Compute driver) is that worker
 // goroutines write only to i-indexed slots of preallocated slices, so
 // the parallel schedule cannot perturb results or race. Writing a
 // captured outer variable directly from inside a `go func` closure —

@@ -143,14 +143,16 @@ func DefaultConfig() Config {
 		},
 		AllocFreeRoots: map[string][]string{
 			// The two shared inner paths of the iterative steady state:
-			// every Iterate/PageRank loop body funnels through one of
-			// them, and both reach the prap merge paths through
-			// Network.MergeInto. The entry points themselves are NOT
-			// roots: per-call warm-up (plan build, x0 clone, PageRank's
-			// normalization) may allocate by design. spmvBlockCompute is
-			// the block counterpart of spmvCompute — the shared inner
-			// path of SpMVBlock/IterateBlock/PageRankBlock.
-			"mwmerge/internal/core": {"Engine.spmvCompute", "Engine.iteratePipelined", "Engine.spmvBlockCompute"},
+			// spmvBlockCompute is the one non-overlapped path — SpMV,
+			// Iterate and PageRank are its k=1 runs, SpMVBlock,
+			// IterateBlock and PageRankBlock its k-column runs — and
+			// iteratePipelined is the ITS driver. Both reach the
+			// step-1 driver, the shared prap.ForEach fan-out and the
+			// prap merge paths through Network.MergeInto. The entry
+			// points themselves are NOT roots: per-call warm-up (plan
+			// build, x0 clone, PageRank's normalization) may allocate
+			// by design.
+			"mwmerge/internal/core": {"Engine.spmvBlockCompute", "Engine.iteratePipelined"},
 			// The Merge-Path kernel's steady-state entry: everything
 			// past its sized() warm-up (arena growth) must stay
 			// allocation-free, DESIGN.md §12.

@@ -102,12 +102,20 @@ func (c Config) workers(n int) int {
 	return w
 }
 
-// forEach runs fn(worker, i) for every i in [0, n) across at most w
-// goroutines; w <= 1 runs inline as worker 0. Callers guarantee fn
-// touches only i-indexed state, so the parallel schedule cannot perturb
-// results. The worker index exists solely for observability: span
-// instrumentation groups tasks by the goroutine that executed them.
-func forEach(w, n int, fn func(worker, i int)) {
+// ForEach runs fn(worker, i) for every i in [0, n) across at most w
+// goroutines — the module's one worker fan-out, shared by the PRaP
+// presort/merge phases and the engine's step-1 driver. w <= 1 runs
+// inline as worker 0 in ascending order. A non-nil order (a permutation
+// of [0, n)) sets the parallel dispatch sequence, e.g. the engine's
+// heaviest-first LPT schedule; nil dispatches ascending. Callers
+// guarantee fn touches only i-indexed state, so neither the schedule
+// nor the order can perturb results. The worker index exists solely for
+// observability: span instrumentation groups tasks by the goroutine
+// that executed them.
+func ForEach(w, n int, order []int, fn func(worker, i int)) {
+	if w > n {
+		w = n
+	}
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			fn(0, i)
@@ -115,11 +123,11 @@ func forEach(w, n int, fn func(worker, i int)) {
 		return
 	}
 	var wg sync.WaitGroup
-	//lint:allow allocfree per-merge fan-out channel, counted in the DESIGN.md §9 alloc budget
+	//lint:allow allocfree per-call fan-out channel, counted in the DESIGN.md §9 alloc budget
 	work := make(chan int)
 	for g := 0; g < w; g++ {
 		wg.Add(1)
-		//lint:allow allocfree per-merge worker goroutine closure, counted in the DESIGN.md §9 alloc budget
+		//lint:allow allocfree per-call worker goroutine closure, counted in the DESIGN.md §9 alloc budget
 		go func(g int) {
 			defer wg.Done()
 			for i := range work {
@@ -127,8 +135,12 @@ func forEach(w, n int, fn func(worker, i int)) {
 			}
 		}(g)
 	}
-	for i := 0; i < n; i++ {
-		work <- i
+	for j := 0; j < n; j++ {
+		if order != nil {
+			work <- order[j]
+		} else {
+			work <- j
+		}
 	}
 	close(work)
 	wg.Wait()
@@ -296,7 +308,7 @@ func (n *Network) routeLists(lists [][]types.Record, st *Stats, scr *mergeScratc
 	slots := scr.slotsFor(p, len(lists)) // slots[radix][list]
 	outcomes := scr.outcomesFor(len(lists), p)
 	//lint:allow allocfree per-merge routing closure, counted in the DESIGN.md §9 alloc budget
-	forEach(n.cfg.workers(len(lists)), len(lists), n.instrumented("presort", "l", func(_, li int) {
+	ForEach(n.cfg.workers(len(lists)), len(lists), nil, n.instrumented("presort", "l", func(_, li int) {
 		n.routeList(li, lists[li], slots, &outcomes[li])
 	}))
 	for li, out := range outcomes {
@@ -419,7 +431,7 @@ func (n *Network) mergeInto(lists [][]types.Record, dim uint64, yIn, out vector.
 	injected, emitted := scr.countersFor(p)
 	cores := scr.coresFor(p)
 	//lint:allow allocfree per-merge core-drain closure, counted in the DESIGN.md §9 alloc budget
-	forEach(n.cfg.workers(p), p, n.instrumented("merge", "mc", func(_, r int) {
+	ForEach(n.cfg.workers(p), p, nil, n.instrumented("merge", "mc", func(_, r int) {
 		cs := &cores[r]
 		cs.merged = cs.ws.MergeAccumulateInto(cs.merged, slots[r])
 		// nKeys is the size of core r's residue class below dim — the
