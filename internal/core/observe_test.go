@@ -101,7 +101,7 @@ func TestRecorderLanes(t *testing.T) {
 	for _, l := range rep.Lanes {
 		lanes[l.Lane] = true
 	}
-	for _, want := range []string{"phase", "iter", "its"} {
+	for _, want := range []string{"phase", "iter", "its", "drain/q"} {
 		if !lanes[want] {
 			t.Errorf("lane %q missing; have %v", want, rep.Lanes)
 		}
@@ -125,15 +125,22 @@ func TestRecorderLanes(t *testing.T) {
 			t.Errorf("no %s* lane recorded; have %v", p, rep.Lanes)
 		}
 	}
-	// The overlap lane records one window per iteration after the first.
-	var itsLane report.Lane
+	// The overlap lane records one window per iteration after the first;
+	// the store queue, a single drain per step 2, one span per iteration.
+	var itsLane, drainLane report.Lane
 	for _, l := range rep.Lanes {
-		if l.Lane == "its" {
+		switch l.Lane {
+		case "its":
 			itsLane = l
+		case "drain/q":
+			drainLane = l
 		}
 	}
 	if itsLane.Spans != 2 {
 		t.Errorf("its lane has %d spans, want 2 for 3 overlapped iterations", itsLane.Spans)
+	}
+	if drainLane.Spans != 3 {
+		t.Errorf("drain/q lane has %d spans, want 3 for 3 iterations", drainLane.Spans)
 	}
 }
 

@@ -36,17 +36,21 @@ func step1(stripe *matrix.Stripe, xSeg []float64, det *hdn.Detector) (*vector.Sp
 
 // step1Into is step1 emitting into the caller-provided sparse vector
 // (records appended after its current tail, normally empty) — the
-// arena-backed form the engine's recycled stripe slots use.
+// arena-backed form the engine's recycled stripe slots use. The record
+// slice header lives in a local: a product of the current row adds into
+// the last record in place, and a row change that is ascending, inside
+// the dimension and within the arena's capacity extends the slice in
+// place. Any other row change goes through v.Append, which grows the
+// slice or reports the ordering or dimension error. On failure the
+// stats count every entry up to and including the rejected one.
 func step1Into(v *vector.Sparse, stripe *matrix.Stripe, xSeg []float64, det *hdn.Detector) (Step1Stats, error) {
 	var st Step1Stats
 	if uint64(len(xSeg)) < stripe.Width {
 		return st, fmt.Errorf("core: segment of %d elements narrower than stripe width %d", len(xSeg), stripe.Width)
 	}
-	for _, e := range stripe.Entries {
-		x := xSeg[e.Col]
-		st.ScratchpadReads++
-		prod := e.Val * x
-		st.Products++
+	recs := v.Recs
+	for i, e := range stripe.Entries {
+		prod := e.Val * xSeg[e.Col]
 		if det != nil {
 			if det.IsHDN(e.Row) {
 				st.HDN.HDNRecords++
@@ -57,11 +61,26 @@ func step1Into(v *vector.Sparse, stripe *matrix.Stripe, xSeg []float64, det *hdn
 				st.HDN.GeneralRecords++
 			}
 		}
-		if err := v.Accumulate(e.Row, prod); err != nil {
+		n := len(recs)
+		if n > 0 && recs[n-1].Key == e.Row {
+			recs[n-1].Val += prod
+			continue
+		}
+		if n < cap(recs) && (n == 0 || recs[n-1].Key < e.Row) && e.Row < uint64(v.Dim) {
+			recs = recs[:n+1]
+			recs[n] = types.Record{Key: e.Row, Val: prod}
+			continue
+		}
+		v.Recs = recs
+		if err := v.Append(types.Record{Key: e.Row, Val: prod}); err != nil {
+			st.Products, st.ScratchpadReads = uint64(i+1), uint64(i+1)
 			return st, fmt.Errorf("core: stripe %d: %w", stripe.Index, err)
 		}
+		recs = v.Recs
 	}
-	st.Records = uint64(v.NNZ())
+	v.Recs = recs
+	st.Products, st.ScratchpadReads = uint64(len(stripe.Entries)), uint64(len(stripe.Entries))
+	st.Records = uint64(len(recs))
 	return st, nil
 }
 

@@ -7,19 +7,21 @@ import (
 )
 
 // DenseWriteAnalyzer guards the store-queue discipline behind the ITS
-// pipeline. The shared dense result vector is written concurrently by
-// the PRaP merge cores and read, segment by segment, by the next
-// iteration's stripe workers; prap's mergeInto drain is the one place
-// those writes may happen, because only it orders them before the
-// segment publishes the consumers synchronize on. Any other function
-// literal in a parallel package that writes through an index expression
-// into a dense vector declared outside the literal could reassociate
-// the per-element sums or race the segment handoff, so it is flagged
-// unless the enclosing function is blessed via
-// Config.BlessedDenseWriters.
+// pipeline. The shared dense result vector is read, segment by segment,
+// by the next iteration's stripe workers while step 2 is still
+// producing it, so every write into it must be ordered before the
+// segment publish those readers synchronize on. prap's store queue
+// meets that by draining on the calling goroutine, in ascending key
+// order, between the merge cores' join and each publish; no spawned
+// goroutine writes the result. Any function literal in a parallel package
+// that writes through an index expression into a dense vector declared
+// outside the literal could reassociate the per-element sums or race
+// the segment handoff, so it is flagged, unless the enclosing function
+// is blessed via Config.BlessedDenseWriters (the module's own
+// configuration blesses none).
 var DenseWriteAnalyzer = &Analyzer{
 	Name: "densewrite",
-	Doc:  "func literals in parallel packages must not write shared dense vectors outside the blessed store-queue path",
+	Doc:  "func literals in parallel packages must not write shared dense vectors",
 	Run:  runDenseWrite,
 }
 

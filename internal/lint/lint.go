@@ -68,8 +68,9 @@ type Config struct {
 	DenseTypePackage string
 	DenseTypeName    string
 	// BlessedDenseWriters maps an import path to the functions whose
-	// literals may write shared dense vectors — the store-queue drain
-	// behind the ITS segment-publish protocol.
+	// literals may write shared dense vectors. The module's own
+	// configuration blesses none: the store-queue drain writes the
+	// dense result on the calling goroutine, outside any literal.
 	BlessedDenseWriters map[string][]string
 
 	// AllocFreeRoots maps an import path to the steady-state root
@@ -138,9 +139,6 @@ func DefaultConfig() Config {
 		DocPackages:      []string{"mwmerge/internal", "mwmerge/cmd"},
 		DenseTypePackage: "mwmerge/internal/vector",
 		DenseTypeName:    "Dense",
-		BlessedDenseWriters: map[string][]string{
-			"mwmerge/internal/prap": {"mergeInto"},
-		},
 		AllocFreeRoots: map[string][]string{
 			// The two shared inner paths of the iterative steady state:
 			// spmvBlockCompute is the one non-overlapped path — SpMV,
@@ -171,8 +169,7 @@ func DefaultConfig() Config {
 				"Network.acquire",
 				"mergeScratch.slotsFor", "mergeScratch.outcomesFor",
 				"reserveSlots",
-				"mergeScratch.coresFor", "mergeScratch.countersFor",
-				"mergeScratch.planFor",
+				"mergeScratch.coresFor",
 			},
 			"mwmerge/internal/merge":  {"MergePathWorkspace.sized"},
 			"mwmerge/internal/vector": {"Dense.Clone", "NewDense"},

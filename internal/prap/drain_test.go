@@ -149,7 +149,7 @@ func TestDrainAutoHeuristic(t *testing.T) {
 // TestSparseDrainSegmentStream checks that the sparse drain preserves
 // the ITS segment-publishing contract — exactly once per segment,
 // strictly ascending, only after the segment is final — including the
-// all-injected tail segments that only creditRest can flush.
+// all-injected tail segments that hold no merged record.
 func TestSparseDrainSegmentStream(t *testing.T) {
 	const (
 		dim      = 1024
@@ -157,7 +157,7 @@ func TestSparseDrainSegmentStream(t *testing.T) {
 	)
 	rng := rand.New(rand.NewSource(9))
 	// Records confined to the low quarter: segments 2..7 hold no merged
-	// records at all, so their publishes must come from the credit flush.
+	// records at all, yet each must still be published in its turn.
 	sparse := randomLists(rng, 4, dim/4, 0.3)
 	for _, workers := range []int{1, 0, 4} {
 		cfg := smallConfig(2, 64)

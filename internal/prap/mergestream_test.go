@@ -1,6 +1,8 @@
 package prap
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -107,5 +109,79 @@ func TestMergeIntoValidates(t *testing.T) {
 	if _, err := n.MergeInto(lists, 256, nil, vector.NewDense(256), 0, func(int) {}); err == nil ||
 		!strings.Contains(err.Error(), "segment width") {
 		t.Errorf("publish without width: err = %v, want segment-width error", err)
+	}
+}
+
+// TestStoreQueueBlocks drives the store queue across many blocks: a
+// dimension spanning several drainBlock blocks (not a multiple of it or
+// of p), and segment widths that do not align to the core count, so
+// most blocks start mid-residue-class. Both drains must match the
+// exact-order oracle bitwise, publish every segment once in order, and
+// report the closed-form statistics.
+func TestStoreQueueBlocks(t *testing.T) {
+	const dim = 3*drainBlock + 1237
+	rng := rand.New(rand.NewSource(31))
+	lists := randomLists(rng, 5, dim, 0.02)
+	keys := map[uint64]bool{}
+	for _, l := range lists {
+		for _, r := range l {
+			keys[r.Key] = true
+		}
+	}
+	yIn := vector.NewDense(dim)
+	for i := range yIn {
+		yIn[i] = rng.NormFloat64()
+	}
+	for _, q := range []uint{0, 4} {
+		p := uint64(1) << q
+		for _, base := range []vector.Dense{nil, yIn} {
+			want := orderedOracle(lists, dim, base)
+			for _, force := range []int{drainDense, drainSparse} {
+				for _, segWidth := range []uint64{0, 999, drainBlock + 3} {
+					cfg := smallConfig(q, 8)
+					cfg.MergeWorkers = 2
+					n, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					n.drainForce = force
+					var pubs []int
+					var publish func(int)
+					if segWidth > 0 {
+						publish = func(seg int) { pubs = append(pubs, seg) }
+					}
+					out := vector.NewDense(dim)
+					st, err := n.MergeInto(lists, dim, base, out, segWidth, publish)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("q=%d yIn=%v drain=%s segWidth=%d", q, base != nil, drainName(force), segWidth)
+					for i := range want {
+						if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s: out[%d] = %x, want %x", label, i, math.Float64bits(out[i]), math.Float64bits(want[i]))
+						}
+					}
+					if segWidth > 0 {
+						segs := int((dim + segWidth - 1) / segWidth)
+						if len(pubs) != segs {
+							t.Fatalf("%s: %d publishes, want %d", label, len(pubs), segs)
+						}
+						for i, s := range pubs {
+							if s != i {
+								t.Fatalf("%s: publish %d is segment %d", label, i, s)
+							}
+						}
+					}
+					if st.Emitted != dim || st.Injected != dim-uint64(len(keys)) {
+						t.Errorf("%s: emitted %d injected %d, want %d and %d", label, st.Emitted, st.Injected, dim, dim-uint64(len(keys)))
+					}
+					for r, c := range st.PerCoreOutput {
+						if want := (dim - uint64(r) + p - 1) / p; c != want {
+							t.Errorf("%s: core %d emitted %d, want %d", label, r, c, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"mwmerge/internal/mem"
 	"mwmerge/internal/merge"
@@ -48,12 +47,14 @@ type Config struct {
 	// RecordBytes is the record width for buffer accounting.
 	RecordBytes int
 	// MergeWorkers bounds the goroutines Network.Merge runs: the radix
-	// pre-sort shards over input lists and the p merge cores run one
-	// goroutine per residue class, both capped at this bound (the
-	// host-side analogue of the MC-level independence of §4.2). 0
-	// defaults to runtime.GOMAXPROCS; 1 runs fully sequentially. Every
-	// output key is owned by exactly one core, so the result is
-	// bit-identical at any setting — no float reassociation occurs.
+	// pre-sort shards over input lists and the p merge cores fan out
+	// one task per residue class, both capped at this bound (the
+	// host-side analogue of the MC-level independence of §4.2). The
+	// drain is a single store queue on the calling goroutine, as in
+	// hardware. 0 defaults to runtime.GOMAXPROCS; 1 runs fully
+	// sequentially. Every output key is owned by exactly one core, so
+	// the result is bit-identical at any setting — no float
+	// reassociation occurs.
 	MergeWorkers int
 }
 
@@ -194,12 +195,12 @@ func addCounts(dst, src []uint64) []uint64 {
 }
 
 // SpanObserver receives begin/end callbacks for the network's internal
-// parallel phases, letting an observability layer (internal/report)
-// attribute wall-clock time to individual pre-sort lists and merge
-// cores without this package depending on it. Begin opens a span on the
-// given lane and returns the closure that ends it. Implementations must
-// be safe for concurrent use: spans arrive from MergeWorkers goroutines
-// at once.
+// phases, letting an observability layer (internal/report) attribute
+// wall-clock time to individual pre-sort lists, merge cores and the
+// store-queue drain without this package depending on it. Begin opens a
+// span on the given lane and returns the closure that ends it.
+// Implementations must be safe for concurrent use: spans arrive from
+// MergeWorkers goroutines at once.
 type SpanObserver interface {
 	Begin(lane, name string) (end func())
 }
@@ -216,10 +217,10 @@ type Network struct {
 	drainForce int
 }
 
-// SetObserver attaches a span observer to the network's parallel phases
-// (nil detaches). Observation never changes results: spans wrap the
-// per-list routing and per-core merge tasks, whose outputs stay
-// bit-identical at any worker count.
+// SetObserver attaches a span observer to the network's phases (nil
+// detaches). Observation never changes results: spans wrap the per-list
+// routing and per-core merge tasks, whose outputs stay bit-identical at
+// any worker count, and the store-queue drain (lane "drain/q").
 func (n *Network) SetObserver(o SpanObserver) { n.obs = o }
 
 // instrumented wraps a per-index task so each execution emits a span on
@@ -248,9 +249,11 @@ func New(cfg Config) (*Network, error) {
 
 // routeOutcome carries one list's routing deltas so parallel routing
 // stays side-effect free and the stats merge is deterministic in list
-// order.
+// order. cursors is the list's private copy of its p slot headers,
+// which pass 2 of routeList advances in place of the shared slots.
 type routeOutcome struct {
 	perCore []uint64
+	cursors [][]types.Record
 	err     error
 }
 
@@ -261,9 +264,11 @@ type routeOutcome struct {
 // pass 2 writes the records in input order. A stable scatter leaves each
 // slot in input order, exactly as the hardware's stable pre-sort by
 // radix followed by the per-radix scatter does (DESIGN.md §12), so every
-// slot stays key-sorted. Each list owns column li of every slots[r], so
-// concurrent routeList calls over distinct lists never share a slice
-// element.
+// slot stays key-sorted. Pass 2 advances the list's private cursor
+// copies of its slot headers, and the headers go back to slots once per
+// list, so the per-record loop writes no shared memory; each list owns
+// column li of every slots[r], so concurrent routeList calls over
+// distinct lists never share a slice element.
 func (n *Network) routeList(li int, list []types.Record, slots [][][]types.Record, out *routeOutcome) {
 	q := n.cfg.Q
 	for i, rec := range list {
@@ -274,11 +279,16 @@ func (n *Network) routeList(li int, list []types.Record, slots [][][]types.Recor
 		out.perCore[rec.Radix(q)]++
 	}
 	reserveSlots(slots, li, out.perCore)
+	cur := out.cursors
+	for r := range cur {
+		cur[r] = slots[r][li]
+	}
 	for _, rec := range list {
-		r := rec.Radix(q)
-		s := slots[r][li]
-		s = s[:len(s)+1] // within the reserved capacity
-		s[len(s)-1] = rec
+		s := &cur[rec.Radix(q)]
+		*s = (*s)[:len(*s)+1] // within the reserved capacity
+		(*s)[len(*s)-1] = rec
+	}
+	for r, s := range cur {
 		slots[r][li] = s
 	}
 }
@@ -338,7 +348,7 @@ func (n *Network) Merge(lists [][]types.Record, dim uint64, yIn vector.Dense) (v
 	out := vector.NewDense(int(dim))
 	scr, release := n.acquire()
 	defer release()
-	if err := n.mergeInto(lists, dim, yIn, out, &st, nil, scr); err != nil {
+	if err := n.mergeInto(lists, dim, yIn, out, &st, 0, nil, scr); err != nil {
 		return nil, st, err
 	}
 	return out, st, nil
@@ -347,16 +357,16 @@ func (n *Network) Merge(lists [][]types.Record, dim uint64, yIn vector.Dense) (v
 // MergeInto merges exactly as Merge but into the caller-provided dense
 // vector out (overwritten; its length must equal dim) and optionally
 // streams segment completions: with a non-nil publish and a positive
-// segWidth, the store queue invokes publish(s) exactly once per
-// segWidth-wide key segment, in strictly ascending segment order, as
-// soon as every merge core has drained past it. A published segment's
-// elements are final — all writes to out[s*segWidth : (s+1)*segWidth]
-// happen before publish(s) is entered. This is the hook the ITS
-// pipeline (core) uses to hand finished x-segments of iteration i+1's
-// source vector to its step 1 while this step 2 is still draining
-// higher keys. publish may block (a bounded handoff); blocking only
-// stalls the drain, never reorders it, so results stay bit-identical at
-// any MergeWorkers setting.
+// segWidth, the store queue drains out one segWidth-wide key segment at
+// a time, in ascending order, and invokes publish(s) on the calling
+// goroutine exactly once per segment, right after segment s is drained.
+// A published segment's elements are final — all writes to
+// out[s*segWidth : (s+1)*segWidth] happen before publish(s) is entered.
+// This is the hook the ITS pipeline (core) uses to hand finished
+// x-segments of iteration i+1's source vector to its step 1 while this
+// step 2 is still draining higher keys. publish may block (a bounded
+// handoff); blocking only stalls the drain, never reorders it, so
+// results stay bit-identical at any MergeWorkers setting.
 func (n *Network) MergeInto(lists [][]types.Record, dim uint64, yIn, out vector.Dense, segWidth uint64, publish func(seg int)) (Stats, error) {
 	st := n.newStats()
 	if err := n.validateMerge(lists, dim, yIn); err != nil {
@@ -370,11 +380,7 @@ func (n *Network) MergeInto(lists [][]types.Record, dim uint64, yIn, out vector.
 	}
 	scr, release := n.acquire()
 	defer release()
-	var plan *segmentPlan
-	if publish != nil {
-		plan = scr.planFor(dim, segWidth, n.cfg.Cores(), publish)
-	}
-	return st, n.mergeInto(lists, dim, yIn, out, &st, plan, scr)
+	return st, n.mergeInto(lists, dim, yIn, out, &st, segWidth, publish, scr)
 }
 
 // newStats returns a Stats with per-core slices sized for this network.
@@ -398,95 +404,122 @@ func (n *Network) validateMerge(lists [][]types.Record, dim uint64, yIn vector.D
 	return nil
 }
 
-// mergeInto routes the lists and drains the merge cores into out. This
-// is the one place goroutines write the shared dense result; spmvlint's
-// densewrite analyzer blesses it (and its exported callers) so new
-// parallel code cannot silently reassociate the per-element sums.
-func (n *Network) mergeInto(lists [][]types.Record, dim uint64, yIn, out vector.Dense, st *Stats, plan *segmentPlan, scr *mergeScratch) error {
+// drainBlock is the store queue's block width, in keys, when no segment
+// stream is requested: the drain interleaves the p residue classes one
+// 2^15-key block (256 KiB of float64 output) at a time, so the block's
+// cache lines stay resident while all p cores' strided writes land in
+// it. With publish set the blocks are the ITS segments instead.
+const drainBlock = 1 << 15
+
+// mergeInto routes the lists, runs the p merge cores in parallel, and
+// drains them into out through one ordered store queue on the calling
+// goroutine.
+//
+// Each MC merge-accumulates its residue class on its own goroutine and
+// writes only its arena buffer. The store queue then walks the output
+// block by block in ascending key order and, inside each block, visits
+// every core's residue class — the host form of §4.2.2's store queue,
+// which takes one record from each of the p cores and writes them as
+// consecutive dense elements (Fig. 11). The dense walk visits the full
+// key sequence {r, r+p, r+2p, ...} — the missing-key injection of
+// Fig. 11 fused with the drain, so injected records add 0.0 to out[key]
+// without ever being materialized (the add still executes: skipping it
+// would turn a -0.0 element into +0.0 and break bit-identity with the
+// reference). When skipping those zero-adds is provably bit-safe, the
+// sparse drain instead touches only the merged records, making the
+// drain cost proportional to the output nonzeros (DESIGN.md §13);
+// sparseDrainOK decides per call. Either way each element receives
+// exactly one effective float64 add, and only the calling goroutine
+// writes out, so the result is bit-identical at any MergeWorkers
+// setting. With publish
+// set, publish(s) runs once per segWidth-wide block right after the
+// block is drained, so segments publish strictly ascending and final.
+func (n *Network) mergeInto(lists [][]types.Record, dim uint64, yIn, out vector.Dense, st *Stats, segWidth uint64, publish func(seg int), scr *mergeScratch) error {
 	p := n.cfg.Cores()
 	slots, err := n.routeLists(lists, st, scr)
 	if err != nil {
 		return err
 	}
-
-	// Each MC merge-accumulates its residue class, then the store queue
-	// drains it into out. The dense walk visits the full key sequence
-	// {r, r+p, r+2p, ...} — the missing-key injection of Fig. 11 fused
-	// with the drain, so injected records add 0.0 to out[key] without
-	// ever being materialized (the add still executes: skipping it would
-	// turn a -0.0 element into +0.0 and break bit-identity with the
-	// reference). When skipping those zero-adds is provably bit-safe,
-	// the sparse drain instead touches only the merged records, making
-	// the drain cost proportional to the output nonzeros (DESIGN.md
-	// §13); sparseDrainOK decides per call. Either way no two cores
-	// touch the same output element and each element receives exactly
-	// one effective float64 add, so running the cores on MergeWorkers
-	// goroutines is bit-identical to the sequential drain.
 	sparse := n.sparseDrainOK(dim, yIn, st)
 	if yIn != nil {
 		copy(out, yIn)
 	} else {
 		out.Fill(0)
 	}
-	injected, emitted := scr.countersFor(p)
 	cores := scr.coresFor(p)
-	//lint:allow allocfree per-merge core-drain closure, counted in the DESIGN.md §9 alloc budget
+	//lint:allow allocfree per-merge core closure, counted in the DESIGN.md §9 alloc budget
 	ForEach(n.cfg.workers(p), p, nil, n.instrumented("merge", "mc", func(_, r int) {
 		cs := &cores[r]
 		cs.merged = cs.ws.MergeAccumulateInto(cs.merged, slots[r])
-		// nKeys is the size of core r's residue class below dim — the
-		// dense walk's trip count, and both drains' Emitted charge.
+		cs.next = 0
+	}))
+
+	if n.obs != nil {
+		end := n.obs.Begin("drain/q", "q")
+		defer end()
+	}
+	width := uint64(drainBlock)
+	if publish != nil {
+		width = segWidth
+	}
+	mask := uint64(p - 1)
+	for lo, seg := uint64(0), 0; lo < dim; lo, seg = lo+width, seg+1 {
+		hi := dim
+		if dim-lo > width {
+			hi = lo + width
+		}
+		for r := range cores {
+			cs := &cores[r]
+			if sparse {
+				cs.next = sparseDrain(out, cs.merged, cs.next, hi)
+			} else {
+				// From the first key of residue class r at or above lo.
+				cs.next = denseWalk(out, cs.merged, cs.next, lo+(uint64(r)-lo)&mask, hi, uint64(p))
+			}
+		}
+		if publish != nil {
+			publish(seg)
+		}
+	}
+
+	// Every merged record below dim was matched exactly once, so core
+	// r's final cursor is its matched count; each of its nKeys keys was
+	// emitted, and the rest were injected.
+	for r := range cores {
 		nKeys := uint64(0)
 		if dim > uint64(r) {
 			nKeys = (dim - uint64(r) + uint64(p) - 1) / uint64(p)
 		}
-		done := 0
-		if sparse {
-			// Sparse drain: only merged records are visited. Segment
-			// credits move with the record keys (still ascending), and
-			// creditRest flushes the all-injected tail, so publish(s)
-			// keeps its happens-before edge from every write into
-			// segment s and still fires in ascending segment order.
-			matched := uint64(0)
-			for _, rec := range cs.merged {
-				if rec.Key >= dim {
-					break
-				}
-				if plan != nil {
-					plan.credit(&done, rec.Key)
-				}
-				out[rec.Key] += rec.Val
-				matched++
-			}
-			injected[r] = nKeys - matched
-			emitted[r] = nKeys
-		} else {
-			i := 0
-			for key := uint64(r); key < dim; key += uint64(p) {
-				var val float64
-				if i < len(cs.merged) && cs.merged[i].Key == key {
-					val = cs.merged[i].Val
-					i++
-				} else {
-					injected[r]++
-				}
-				if plan != nil {
-					plan.credit(&done, key)
-				}
-				out[key] += val
-				emitted[r]++
-			}
-		}
-		st.PerCoreOutput[r] = emitted[r]
-		if plan != nil {
-			plan.creditRest(&done)
-		}
-	}))
-	for r := 0; r < p; r++ {
-		st.Injected += injected[r]
-		st.Emitted += emitted[r]
+		st.PerCoreOutput[r] = nKeys
+		st.Injected += nKeys - uint64(cores[r].next)
+		st.Emitted += nKeys
 	}
 	return nil
+}
+
+// denseWalk drains one core's residue class over the keys key, key+p,
+// ... below hi, starting at merged[i]: a merged record adds its value, a
+// missing key adds the injected 0.0. It returns the cursor past the
+// last matched record.
+func denseWalk(out vector.Dense, merged []types.Record, i int, key, hi, p uint64) int {
+	for ; key < hi; key += p {
+		var val float64
+		if i < len(merged) && merged[i].Key == key {
+			val = merged[i].Val
+			i++
+		}
+		out[key] += val
+	}
+	return i
+}
+
+// sparseDrain drains one core's merged records from merged[i] up to key
+// hi and returns the cursor past the last one.
+func sparseDrain(out vector.Dense, merged []types.Record, i int, hi uint64) int {
+	for ; i < len(merged) && merged[i].Key < hi; i++ {
+		out[merged[i].Key] += merged[i].Val
+	}
+	return i
 }
 
 // sparseDrainOK decides, per merge call, whether the store queue may
@@ -534,42 +567,6 @@ func negZeroSafe(y vector.Dense) bool {
 		}
 	}
 	return true
-}
-
-// segmentPlan is the segment-granular store queue: a per-segment
-// countdown, initialized to the core count, that each merge core
-// decrements once when its drain passes the segment's upper key
-// boundary. The core that takes a countdown to zero fires publish.
-// Because every core drains its residue class in ascending key order,
-// countdowns complete in ascending segment order, and the fetch-add
-// chain gives publish(s) a happens-before edge from every write any
-// core made into segment s. The plan header and pending array live in
-// the run's arena (mergeScratch.planFor); a run owns them until its
-// drain completes, so recycling cannot race a live publish.
-type segmentPlan struct {
-	width   uint64
-	segs    int
-	pending []int32 // cores yet to drain past each segment
-	publish func(seg int)
-}
-
-// credit marks, for the calling core, every segment that lies entirely
-// below key as drained; *done tracks the core's crediting watermark so
-// each segment is credited exactly once per core.
-func (q *segmentPlan) credit(done *int, key uint64) {
-	for *done < q.segs && uint64(*done+1)*q.width <= key {
-		if atomic.AddInt32(&q.pending[*done], -1) == 0 {
-			q.publish(*done)
-		}
-		*done++
-	}
-}
-
-// creditRest credits every segment the core has not credited yet — the
-// end-of-stream flush covering segments with no keys in the core's
-// residue class (and the final, partially filled segment).
-func (q *segmentPlan) creditRest(done *int) {
-	q.credit(done, uint64(q.segs)*q.width)
 }
 
 // InjectMissingKeys densifies an ascending record stream over the residue

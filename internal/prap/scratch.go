@@ -8,9 +8,8 @@ import (
 )
 
 // mergeScratch is the network-owned arena recycled across Merge/MergeInto
-// calls: route slots, per-list route outcomes, per-core merge
-// workspaces and output buffers, the store-queue
-// counters, and the segmentPlan pending array. Every sub-buffer is
+// calls: route slots, per-list route outcomes and scatter cursors, and
+// per-core merge workspaces and output buffers. Every sub-buffer is
 // indexed by list or core id, so the parallel phases never share
 // an element and reuse cannot perturb the deterministic schedule. One
 // merge run owns the arena at a time: callers acquire it with TryLock and
@@ -20,20 +19,19 @@ import (
 type mergeScratch struct {
 	mu       sync.Mutex
 	slots    [][][]types.Record // [radix][list], sized by reserveSlots
-	outcomes []routeOutcome     // per list, perCore counters recycled
+	outcomes []routeOutcome     // per list, counters and cursors recycled
 	cores    []coreScratch      // per merge core
-	injected []uint64           // per core
-	emitted  []uint64           // per core
-	pending  []int32            // segmentPlan countdown arena
-	plan     segmentPlan        // reused plan header
 }
 
 // coreScratch is the per-merge-core slice of the arena: the recycled
-// merge-accumulate output buffer and the Merge-Path workspace. Exactly
-// one goroutine drains core r in any run, so cores[r] needs no lock.
+// merge-accumulate output buffer, the Merge-Path workspace, and the
+// store queue's read cursor into merged. Exactly one goroutine merges
+// core r in any run, and the store queue drains the cores only after
+// every merge has joined, so cores[r] needs no lock.
 type coreScratch struct {
 	merged []types.Record
 	ws     merge.MergePathWorkspace
+	next   int // merged records the store queue has drained
 }
 
 // acquire returns the network's arena when free, or a fresh one when a
@@ -64,22 +62,26 @@ func (s *mergeScratch) slotsFor(p, nl int) [][][]types.Record {
 	return slots
 }
 
-// outcomesFor returns the per-list route outcomes with zeroed counters.
+// outcomesFor returns the per-list route outcomes with zeroed counters
+// and p-entry cursor arrays.
 func (s *mergeScratch) outcomesFor(nl, p int) []routeOutcome {
 	for len(s.outcomes) < nl {
 		s.outcomes = append(s.outcomes, routeOutcome{})
 	}
 	out := s.outcomes[:nl]
 	for i := range out {
-		pc := out[i].perCore
+		pc, cur := out[i].perCore, out[i].cursors
 		if cap(pc) < p {
 			pc = make([]uint64, p)
+		}
+		if cap(cur) < p {
+			cur = make([][]types.Record, p)
 		}
 		pc = pc[:p]
 		for j := range pc {
 			pc[j] = 0
 		}
-		out[i] = routeOutcome{perCore: pc}
+		out[i] = routeOutcome{perCore: pc, cursors: cur[:p]}
 	}
 	s.outcomes = out
 	return out
@@ -92,39 +94,4 @@ func (s *mergeScratch) coresFor(p int) []coreScratch {
 	}
 	s.cores = s.cores[:p]
 	return s.cores
-}
-
-// countersFor returns the zeroed per-core injected/emitted counters.
-func (s *mergeScratch) countersFor(p int) (injected, emitted []uint64) {
-	s.injected = zeroed(s.injected, p)
-	s.emitted = zeroed(s.emitted, p)
-	return s.injected, s.emitted
-}
-
-// planFor builds the segment-publishing plan in the arena: the pending
-// countdown array and the plan header are both recycled.
-func (s *mergeScratch) planFor(dim, width uint64, cores int, publish func(int)) *segmentPlan {
-	segs := int((dim + width - 1) / width)
-	if cap(s.pending) < segs {
-		s.pending = make([]int32, segs)
-	}
-	pending := s.pending[:segs]
-	for i := range pending {
-		pending[i] = int32(cores)
-	}
-	s.pending = pending
-	s.plan = segmentPlan{width: width, segs: segs, pending: pending, publish: publish}
-	return &s.plan
-}
-
-// zeroed resizes s to n and clears it, reusing capacity.
-func zeroed(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
 }
